@@ -6,10 +6,13 @@ GO ?= go
 
 all: test
 
+# bench/ is its own module, so ./... skips it; vet and test it
+# separately so an internal API change cannot break it unnoticed.
 test:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Short mode skips the exhaustive/soak tests.
 test-short:

@@ -7,7 +7,6 @@
 package aegis_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"aegis/internal/core"
@@ -93,27 +92,15 @@ func BenchmarkFig11(b *testing.B)  { benchExperiment(b, "fig11") }
 func BenchmarkFig12(b *testing.B)  { benchExperiment(b, "fig12") }
 func BenchmarkFig13(b *testing.B)  { benchExperiment(b, "fig13") }
 
-// rngTrials is the per-op workload of the RNG substrate micro-pair:
-// one "trial" = seed a generator, draw one word — the exact shape of
-// the simulator's per-trial RNG setup.  The std arm pays one
-// rand.New(rand.NewSource) heap construction per trial; the xrand arm
-// re-seeds a single caller-owned state array in place (DESIGN.md §17).
+// rngTrials is the per-op workload of the RNG seeding benchmark: one
+// "trial" = seed a generator, draw one word — the exact shape of the
+// simulator's per-trial RNG setup, which re-seeds a single caller-owned
+// state array in place (DESIGN.md §17).
 const rngTrials = 256
 
 var benchSink uint64
 
 func BenchmarkTrialRNGSeed(b *testing.B) {
-	b.Run("std", func(b *testing.B) {
-		b.ReportAllocs()
-		var s uint64
-		for i := 0; i < b.N; i++ {
-			for t := 0; t < rngTrials; t++ {
-				rng := rand.New(rand.NewSource(int64(t + 1)))
-				s += rng.Uint64()
-			}
-		}
-		benchSink = s
-	})
 	b.Run("xrand", func(b *testing.B) {
 		b.ReportAllocs()
 		var rng xrand.Rand
@@ -128,23 +115,11 @@ func BenchmarkTrialRNGSeed(b *testing.B) {
 	})
 }
 
-// BenchmarkRandFill compares bulk random-word generation: the std arm
-// is the per-word interface-call loop bitvec.Random used before the
-// substrate; the xrand arm is the devirtualized Fill that replaced it.
-// Both produce the identical word stream (pinned by internal/xrand's
-// differential suite), so the pair isolates call overhead.
+// BenchmarkRandFill measures bulk random-word generation through the
+// devirtualized Fill; its stream identity with math/rand is pinned by
+// internal/xrand's differential suite.
 func BenchmarkRandFill(b *testing.B) {
 	buf := make([]uint64, 1024) // a 64Kbit data block's worth of words
-	b.Run("std", func(b *testing.B) {
-		b.ReportAllocs()
-		rng := rand.New(rand.NewSource(1))
-		for i := 0; i < b.N; i++ {
-			for j := range buf {
-				buf[j] = rng.Uint64()
-			}
-		}
-		benchSink += buf[0]
-	})
 	b.Run("xrand", func(b *testing.B) {
 		b.ReportAllocs()
 		rng := xrand.New(1)

@@ -1,13 +1,15 @@
 // Package cluster distributes aegisd jobs over a fleet of worker
 // daemons.  One daemon runs as the coordinator: it accepts jobs through
-// the ordinary serve API, splits each job's trial range into the same
-// content-addressed shards a standalone run would compute
-// (engine.SplitTrials + engine.ShardKey), and leases each shard to a
-// registered worker over HTTP.  Workers compute leased shards with
-// engine.ComputeShard and ship the aegis.shard/v1 document back; the
-// coordinator validates, caches and merges them with engine.Merge, so a
-// cluster run's aegis.job/v1 result is byte-identical to the standalone
-// one (the cluster-parity test pins this).
+// the ordinary serve API and runs each one through the same shard
+// engine a standalone daemon uses (internal/engine), which splits the
+// trial range into content-addressed shards, serves what its cache
+// holds, and hands every other shard to the coordinator's executor.
+// The executor leases the shard to a registered worker over HTTP;
+// workers compute leased shards with engine.ComputeShard and ship the
+// aegis.shard/v1 document back, and the coordinator validates it before
+// the engine caches and merges it.  A cluster run's aegis.job/v1 result
+// is therefore byte-identical to the standalone one (the cluster-parity
+// test pins this).
 //
 // Fault model: a worker is leased one shard at a time and may die, hang
 // or disconnect at any point.  Leases carry a deadline; a lease whose

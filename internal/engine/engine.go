@@ -12,9 +12,16 @@
 // computes the rest, which makes interrupted runs cheap to finish and
 // unchanged reruns nearly free; cache traffic is reported through
 // internal/obs counters and the live progress line.
+//
+// The engine is the only shard pipeline in the repository.  A cluster
+// coordinator runs its jobs through an Engine too, with an Executor
+// that leases each missed shard to a worker instead of simulating it
+// locally; splitting, scheduling, caching, progress and merging are
+// the same code either way.
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -63,13 +70,20 @@ type Engine struct {
 	// aborts mid-shard and the aborted shard is discarded unpersisted.
 	Drain <-chan struct{}
 	// Logger, when non-nil, receives one structured record per shard
-	// (cache hit or computed) with the shard's identity — scheme, kind,
+	// served from the cache or simulated here (an Executor's shards are
+	// logged where they run) with the shard's identity — scheme, kind,
 	// trial range, short cache key — and compute duration.  The serving
 	// daemon passes a logger already carrying request and job IDs, which
 	// completes the correlation chain request → job → shard.  Records
 	// are emitted from shard workers, so the handler must be safe for
 	// concurrent use (slog's built-ins are).
 	Logger *slog.Logger
+	// Executor, when non-nil, computes every shard the cache cannot
+	// serve in place of local simulation, and makes the engine always
+	// run the shard loop, even unsharded and uncached.  The engine still
+	// splits, schedules, consults the cache, credits progress, persists
+	// and merges.
+	Executor Executor
 
 	// afterShard, when set, runs after each shard completes (computed
 	// or loaded).  Calls are serialized.  Returning an error aborts
@@ -80,9 +94,32 @@ type Engine struct {
 	hookMu sync.Mutex
 }
 
+// Executor computes one shard somewhere other than the engine's own
+// process — the cluster coordinator leases it to a worker.  It must
+// return a shard valid at t's address (ValidateShard) carrying that
+// shard's counter and histogram deltas, or an error; the engine calls
+// it from shard workers, so it must be safe for concurrent use.  ctx is
+// the run's hard-stop context.
+type Executor func(ctx context.Context, t ShardTask) (*Shard, error)
+
+// ShardTask is the content address of one shard of a run: what an
+// Executor needs to have it computed elsewhere and to check the answer.
+type ShardTask struct {
+	// Scheme is the factory's name, under which the shard is labeled
+	// and keyed.
+	Scheme string
+	Kind   string
+	// Curve is zero unless Kind is KindCurve.
+	Curve      CurveParams
+	ConfigHash string
+	Key        string
+	// Lo and Hi bound the shard's global trial range [Lo, Hi).
+	Lo, Hi int
+}
+
 // enabled reports whether the engine changes execution at all.
 func (e *Engine) enabled() bool {
-	return e != nil && (e.Shards > 1 || e.CacheDir != "")
+	return e != nil && (e.Shards > 1 || e.CacheDir != "" || e.Executor != nil)
 }
 
 // shardCount returns the effective shard count, clamped to [1, trials].
@@ -141,59 +178,22 @@ func SplitTrials(n, k int) [][2]int {
 	return ranges
 }
 
-// direct guards the engine-disabled fall-through: the run still honors
-// the hard stop (a cancelled cfg.Ctx means sim returned partial results,
-// which must surface as an error, not as data) and refuses to start
-// once the drain channel has closed.
-func (e *Engine) direct(cfg sim.Config, run func()) error {
-	if e != nil {
-		select {
-		case <-e.Drain:
-			return ErrDraining
-		default:
-		}
-	}
-	run()
-	if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-		return fmt.Errorf("engine: run aborted: %w", cfg.Ctx.Err())
-	}
-	return nil
-}
-
 // Blocks runs sim.Blocks through the shard engine.
 func (e *Engine) Blocks(f scheme.Factory, cfg sim.Config) ([]sim.BlockResult, error) {
-	if !e.enabled() || cfg.Trials <= 0 {
-		var res []sim.BlockResult
-		if err := e.direct(cfg, func() { res = sim.Blocks(f, cfg) }); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	merged, err := e.run(f, cfg, KindBlocks, CurveParams{}, func(shardCfg sim.Config, s *Shard) {
-		s.Blocks = sim.Blocks(f, shardCfg)
-	})
+	s, err := e.payload(f, cfg, KindBlocks, CurveParams{})
 	if err != nil {
 		return nil, err
 	}
-	return merged.Blocks, nil
+	return s.Blocks, nil
 }
 
 // Pages runs sim.Pages through the shard engine.
 func (e *Engine) Pages(f scheme.Factory, cfg sim.Config) ([]sim.PageResult, error) {
-	if !e.enabled() || cfg.Trials <= 0 {
-		var res []sim.PageResult
-		if err := e.direct(cfg, func() { res = sim.Pages(f, cfg) }); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	merged, err := e.run(f, cfg, KindPages, CurveParams{}, func(shardCfg sim.Config, s *Shard) {
-		s.Pages = sim.Pages(f, shardCfg)
-	})
+	s, err := e.payload(f, cfg, KindPages, CurveParams{})
 	if err != nil {
 		return nil, err
 	}
-	return merged.Pages, nil
+	return s.Pages, nil
 }
 
 // FailureCurve runs sim.FailureCurve through the shard engine.
@@ -206,84 +206,104 @@ func (e *Engine) FailureCurve(f scheme.Factory, cfg sim.Config, maxFaults, write
 // merged counts divide by the full trial count, so the curve matches an
 // unsharded run exactly.
 func (e *Engine) FailureCurveBias(f scheme.Factory, cfg sim.Config, maxFaults, writesPerStep int, bias float64) ([]float64, error) {
-	if !e.enabled() || cfg.Trials <= 0 {
-		var res []float64
-		if err := e.direct(cfg, func() { res = sim.FailureCurveBias(f, cfg, maxFaults, writesPerStep, bias) }); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
 	cp := CurveParams{MaxFaults: maxFaults, WritesPerStep: writesPerStep, Bias: bias}
-	merged, err := e.run(f, cfg, KindCurve, cp, func(shardCfg sim.Config, s *Shard) {
-		s.Dead = sim.FailureCounts(f, shardCfg, maxFaults, writesPerStep, bias)
-	})
+	s, err := e.payload(f, cfg, KindCurve, cp)
 	if err != nil {
 		return nil, err
 	}
 	curve := make([]float64, maxFaults+1)
-	for nf := 1; nf <= maxFaults && nf < len(merged.Dead); nf++ {
-		curve[nf] = float64(merged.Dead[nf]) / float64(cfg.Trials)
+	for nf := 1; nf <= maxFaults && nf < len(s.Dead); nf++ {
+		curve[nf] = float64(s.Dead[nf]) / float64(cfg.Trials)
 	}
 	return curve, nil
 }
 
-// computeFunc builds the per-shard simulation closure for one kind of
-// run — the same closures Blocks/Pages/FailureCurveBias install.
-func computeFunc(f scheme.Factory, kind string, cp CurveParams) (func(sim.Config, *Shard), error) {
-	switch kind {
-	case KindBlocks:
-		return func(shardCfg sim.Config, s *Shard) { s.Blocks = sim.Blocks(f, shardCfg) }, nil
-	case KindPages:
-		return func(shardCfg sim.Config, s *Shard) { s.Pages = sim.Pages(f, shardCfg) }, nil
-	case KindCurve:
-		return func(shardCfg sim.Config, s *Shard) {
-			s.Dead = sim.FailureCounts(f, shardCfg, cp.MaxFaults, cp.WritesPerStep, cp.Bias)
-		}, nil
+// payload runs the whole simulation and returns a shard carrying its
+// payload: through the shard loop when the engine is enabled, otherwise
+// by one direct simulation.  The
+// direct path still honors the hard stop (a cancelled cfg.Ctx means sim
+// returned partial results, which must surface as an error, not as
+// data) and refuses to start once the drain channel has closed.
+func (e *Engine) payload(f scheme.Factory, cfg sim.Config, kind string, cp CurveParams) (*Shard, error) {
+	if e.enabled() && cfg.Trials > 0 {
+		return e.run(f, cfg, kind, cp)
 	}
-	return nil, fmt.Errorf("engine: unknown shard kind %q", kind)
+	if e != nil {
+		select {
+		case <-e.Drain:
+			return nil, ErrDraining
+		default:
+		}
+	}
+	s := &Shard{Kind: kind}
+	simulate(f, cfg, cp, s)
+	if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
+		return nil, fmt.Errorf("engine: run aborted: %w", cfg.Ctx.Err())
+	}
+	return s, nil
+}
+
+// simulate runs the simulation s.Kind names over cfg's trial range and
+// stores the result as s's payload.
+func simulate(f scheme.Factory, cfg sim.Config, cp CurveParams, s *Shard) {
+	switch s.Kind {
+	case KindBlocks:
+		s.Blocks = sim.Blocks(f, cfg)
+	case KindPages:
+		s.Pages = sim.Pages(f, cfg)
+	case KindCurve:
+		s.Dead = sim.FailureCounts(f, cfg, cp.MaxFaults, cp.WritesPerStep, cp.Bias)
+	}
 }
 
 // ComputeShard loads or computes the single shard covering global
 // trials [lo, hi) of the run (cfg, kind, cp) — the cluster worker's
 // entry point.  cfg.Trials and cfg.TrialOffset are ignored; the range
 // is authoritative.  The shard consults this engine's cache first,
-// simulates against a private registry on a miss, and persists under
-// its content-addressed key, exactly like one slice of a full run —
-// which is what makes a fleet of workers byte-identical to a single
-// node: the shard a worker returns is the shard a local run would have
-// produced at the same address.
+// computes on a miss, and persists under its content-addressed key,
+// exactly like one slice of a full run — which is what makes a fleet of
+// workers byte-identical to a single node: the shard a worker returns
+// is the shard a local run would have produced at the same address.
 func (e *Engine) ComputeShard(f scheme.Factory, cfg sim.Config, kind string, cp CurveParams, lo, hi int) (*Shard, error) {
 	if hi <= lo {
 		return nil, fmt.Errorf("engine: empty shard range [%d,%d)", lo, hi)
 	}
-	compute, err := computeFunc(f, kind, cp)
-	if err != nil {
-		return nil, err
+	switch kind {
+	case KindBlocks, KindPages, KindCurve:
+	default:
+		return nil, fmt.Errorf("engine: unknown shard kind %q", kind)
 	}
-	hash := ConfigHash(cfg, kind, cp)
-	return e.oneShard(cfg, compute, hash, f.Name(), kind, obs.GitSHA(), lo, hi)
+	return e.oneShard(f, cfg, newTask(f, cfg, kind, cp, lo, hi))
 }
 
-// run is the shared shard loop: derive keys, load what the cache has,
-// compute the rest (each computed shard simulates trial range
-// [lo, hi) via Trials/TrialOffset against a private obs registry so its
-// counter and histogram deltas can be persisted), persist, merge, and
-// fold the merged observability deltas back into the caller's registry.
+// newTask addresses the shard covering global trials [lo, hi).
+func newTask(f scheme.Factory, cfg sim.Config, kind string, cp CurveParams, lo, hi int) ShardTask {
+	hash := ConfigHash(cfg, kind, cp)
+	return ShardTask{
+		Scheme:     f.Name(),
+		Kind:       kind,
+		Curve:      cp,
+		ConfigHash: hash,
+		Key:        ShardKey(hash, f.Name(), lo, hi, obs.GitSHA()),
+		Lo:         lo,
+		Hi:         hi,
+	}
+}
+
+// run is the shard loop: split the trial range, load what the cache
+// has, compute the rest (oneShard), merge, and fold the merged
+// observability deltas back into the caller's registry.
 //
 // Shards are scheduled over a bounded worker pool (workerCount): shard
 // s is issued in order but completes whenever its worker finishes.
 // Because trial RNG derives from the global trial index, every shard
 // drains into a private registry, and Merge reassembles payloads in
-// trial order, results are byte-identical at every worker count.  The
-// first shard error stops issue of further shards and wins; a closed
-// Drain channel stops issue with ErrDraining after in-flight shards
-// persist; a cancelled cfg.Ctx aborts in-flight shards mid-trial and
-// discards them unpersisted.
-func (e *Engine) run(f scheme.Factory, cfg sim.Config, kind string, cp CurveParams, compute func(sim.Config, *Shard)) (*Shard, error) {
-	schemeName := f.Name()
-	hash := ConfigHash(cfg, kind, cp)
-	code := obs.GitSHA()
-
+// trial order, results are byte-identical at every worker count and
+// for every executor.  The first shard error stops issue of further
+// shards and wins; a closed Drain channel stops issue with ErrDraining
+// after in-flight shards persist; a cancelled cfg.Ctx aborts in-flight
+// shards mid-trial and discards them unpersisted.
+func (e *Engine) run(f scheme.Factory, cfg sim.Config, kind string, cp CurveParams) (*Shard, error) {
 	ranges := SplitTrials(cfg.Trials, e.shardCount(cfg.Trials))
 	shards := make([]*Shard, len(ranges))
 
@@ -360,7 +380,7 @@ func (e *Engine) run(f scheme.Factory, cfg sim.Config, kind string, cp CurvePara
 				// caller offset the run.
 				lo := cfg.TrialOffset + ranges[i][0]
 				hi := cfg.TrialOffset + ranges[i][1]
-				s, err := e.oneShard(cfg, compute, hash, schemeName, kind, code, lo, hi)
+				s, err := e.oneShard(f, cfg, newTask(f, cfg, kind, cp, lo, hi))
 				if err != nil {
 					fail(err)
 					return
@@ -383,25 +403,25 @@ func (e *Engine) run(f scheme.Factory, cfg sim.Config, kind string, cp CurvePara
 		return nil, err
 	}
 	if cfg.Obs != nil {
-		// Computed shards drained into private registries, so the
-		// merged deltas are the run's entire contribution.
-		cfg.Obs.AddTotals(schemeName, merged.Counters)
-		cfg.Obs.AddHist(schemeName, merged.Histograms)
+		// Computed shards drained into private registries (or were
+		// computed elsewhere), so the merged deltas are the run's
+		// entire contribution.
+		cfg.Obs.AddTotals(f.Name(), merged.Counters)
+		cfg.Obs.AddHist(f.Name(), merged.Histograms)
 	}
 	return merged, nil
 }
 
-// oneShard loads or computes the shard covering global trials [lo, hi):
-// the cache is consulted first (hit: credit progress and return; absent
-// or corrupt: recompute; incompatible: refuse), then the shard simulates
-// against a private obs registry, persists, and runs the completion
-// hook.  A context cancellation during compute discards the partial
-// shard without persisting it.
-func (e *Engine) oneShard(cfg sim.Config, compute func(sim.Config, *Shard), hash, schemeName, kind, code string, lo, hi int) (*Shard, error) {
-	key := ShardKey(hash, schemeName, lo, hi, code)
-
+// oneShard loads or computes the shard t: the cache is consulted first
+// (hit: credit progress and return; absent or corrupt: recompute;
+// incompatible: refuse), then the shard is computed — by the Executor
+// when one is set, otherwise simulated here against a private obs
+// registry — persisted, and handed to the completion hook.  A context
+// cancellation during a local compute discards the partial shard
+// without persisting it.
+func (e *Engine) oneShard(f scheme.Factory, cfg sim.Config, t ShardTask) (*Shard, error) {
 	if e.Resume && e.CacheDir != "" {
-		s, err := LoadShard(shardPath(e.CacheDir, key), key, hash, schemeName, kind, lo, hi)
+		s, err := LoadShard(shardPath(e.CacheDir, t.Key), t.Key, t.ConfigHash, t.Scheme, t.Kind, t.Lo, t.Hi)
 		switch {
 		case err == nil:
 			// Cache hit: credit the shard's trials to the live
@@ -427,32 +447,52 @@ func (e *Engine) oneShard(cfg sim.Config, compute func(sim.Config, *Shard), hash
 	if cfg.Obs != nil {
 		cfg.Obs.Shards().CacheMisses.Inc()
 	}
-	priv := obs.NewRegistry()
-	shardCfg := cfg
-	shardCfg.Trials = hi - lo
-	shardCfg.TrialOffset = lo
-	shardCfg.Obs = priv
-	s := &Shard{
-		Schema:      ShardSchema,
-		Key:         key,
-		ConfigHash:  hash,
-		Scheme:      schemeName,
-		Kind:        kind,
-		TrialLo:     lo,
-		TrialHi:     hi,
-		CodeVersion: code,
-		CreatedAt:   time.Now().UTC(),
+	var (
+		s       *Shard
+		elapsed time.Duration
+	)
+	if e.Executor != nil {
+		ctx := cfg.Ctx
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		var err error
+		if s, err = e.Executor(ctx, t); err != nil {
+			return nil, err
+		}
+		// The executor computed without this run's progress sink, so
+		// credit the shard here: the run reports the same totals a
+		// local compute would.
+		cfg.Progress.AddTotal(s.Trials())
+		cfg.Progress.Done(s.Trials())
+	} else {
+		s = &Shard{
+			Schema:      ShardSchema,
+			Key:         t.Key,
+			ConfigHash:  t.ConfigHash,
+			Scheme:      t.Scheme,
+			Kind:        t.Kind,
+			TrialLo:     t.Lo,
+			TrialHi:     t.Hi,
+			CodeVersion: obs.GitSHA(),
+			CreatedAt:   time.Now().UTC(),
+		}
+		priv := obs.NewRegistry()
+		shardCfg := cfg
+		shardCfg.Trials = t.Hi - t.Lo
+		shardCfg.TrialOffset = t.Lo
+		shardCfg.Obs = priv
+		start := time.Now()
+		simulate(f, shardCfg, t.Curve, s)
+		elapsed = time.Since(start)
+		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
+			// The hard stop fired mid-shard: the payload is partial, so
+			// it must never be persisted or merged.
+			return nil, fmt.Errorf("engine: %s aborted: %w", shardDesc(s), cfg.Ctx.Err())
+		}
+		s.Counters = priv.Snapshot()[t.Scheme]
+		s.Histograms = priv.HistSnapshot()[t.Scheme]
 	}
-	start := time.Now()
-	compute(shardCfg, s)
-	elapsed := time.Since(start)
-	if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-		// The hard stop fired mid-shard: the payload is partial, so it
-		// must never be persisted or merged.
-		return nil, fmt.Errorf("engine: %s aborted: %w", shardDesc(s), cfg.Ctx.Err())
-	}
-	s.Counters = priv.Snapshot()[schemeName]
-	s.Histograms = priv.HistSnapshot()[schemeName]
 	if e.CacheDir != "" {
 		if _, err := WriteShard(e.CacheDir, s); err != nil {
 			return nil, fmt.Errorf("engine: persist %s: %w", shardDesc(s), err)
@@ -461,7 +501,11 @@ func (e *Engine) oneShard(cfg sim.Config, compute func(sim.Config, *Shard), hash
 			cfg.Obs.Shards().Persisted.Inc()
 		}
 	}
-	e.logShard("shard computed", s, elapsed)
+	if e.Executor == nil {
+		// Only a shard simulated here is "computed" here: an executor's
+		// shard is logged where it ran.
+		e.logShard("shard computed", s, elapsed)
+	}
 	return s, e.shardDone(s)
 }
 

@@ -149,12 +149,6 @@ func shardPath(cacheDir, key string) string {
 	return filepath.Join(cacheDir, key+".json")
 }
 
-// ShardPath maps a content-address key into a cache directory — the
-// exported form of the engine's own cache layout, so the cluster
-// coordinator consults and populates the same cache files a local run
-// would.
-func ShardPath(cacheDir, key string) string { return shardPath(cacheDir, key) }
-
 // WriteShard persists a shard to dir under its content-addressed name.
 // The write goes through a temp file and rename, so an interrupted run
 // never leaves a truncated shard for a resume to trip over.

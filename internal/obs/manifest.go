@@ -11,12 +11,8 @@ import (
 // ManifestSchema identifies the run-manifest format.  Bump the suffix on
 // any backwards-incompatible field change.  v2 added per-scheme
 // histograms and the event-trace summary; v3 added shard-engine
-// provenance (sharding); v1 and v2 files still load.
-const (
-	ManifestSchema   = "aegis.run-manifest/v3"
-	ManifestSchemaV2 = "aegis.run-manifest/v2"
-	ManifestSchemaV1 = "aegis.run-manifest/v1"
-)
+// provenance (sharding).  Only v3 loads: nothing writes older versions.
+const ManifestSchema = "aegis.run-manifest/v3"
 
 // Table is the JSON form of one rendered result table (the rows
 // internal/report formats as text).
@@ -177,8 +173,8 @@ func LoadManifest(path string) (*Manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("obs: parse manifest %s: %w", path, err)
 	}
-	if m.Schema != ManifestSchema && m.Schema != ManifestSchemaV2 && m.Schema != ManifestSchemaV1 {
-		return nil, fmt.Errorf("obs: manifest %s has schema %q, want %q (or %q, %q)", path, m.Schema, ManifestSchema, ManifestSchemaV2, ManifestSchemaV1)
+	if m.Schema != ManifestSchema {
+		return nil, fmt.Errorf("obs: manifest %s has schema %q, want %q", path, m.Schema, ManifestSchema)
 	}
 	return &m, nil
 }

@@ -81,23 +81,20 @@ func TestManifestSchemaStableKeys(t *testing.T) {
 	}
 }
 
-// TestLoadManifestAcceptsV1 checks manifests from before histograms
-// existed still load: v2 only added fields.
-func TestLoadManifestAcceptsV1(t *testing.T) {
-	m := sampleManifest()
-	m.Schema = ManifestSchemaV1
-	m.Histograms = nil
-	m.Events = nil
-	path := filepath.Join(t.TempDir(), "v1.json")
-	if err := m.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadManifest(path)
-	if err != nil {
-		t.Fatalf("v1 manifest rejected: %v", err)
-	}
-	if got.Histograms != nil || got.Events != nil {
-		t.Fatalf("v1 manifest grew v2 fields on load: %+v", got)
+// TestLoadManifestRejectsOldSchemas: v1 and v2 manifests are no longer
+// written by anything, so the loader refuses them like any other
+// foreign schema.
+func TestLoadManifestRejectsOldSchemas(t *testing.T) {
+	for _, old := range []string{"aegis.run-manifest/v1", "aegis.run-manifest/v2"} {
+		m := sampleManifest()
+		m.Schema = old
+		path := filepath.Join(t.TempDir(), "old.json")
+		if err := m.Write(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadManifest(path); err == nil || !strings.Contains(err.Error(), ManifestSchema) {
+			t.Fatalf("schema %q: LoadManifest returned %v, want a refusal naming %q", old, err, ManifestSchema)
+		}
 	}
 }
 

@@ -162,17 +162,4 @@ func TestManifestShardingRoundTrip(t *testing.T) {
 	if strings.Contains(string(data), "sharding") {
 		t.Fatal("unsharded manifest serialized a sharding block")
 	}
-
-	// Older schema versions still load.
-	for _, old := range []string{ManifestSchemaV1, ManifestSchemaV2} {
-		m3 := NewManifest("x")
-		m3.Schema = old
-		p := filepath.Join(dir, old[strings.LastIndex(old, "/")+1:]+".json")
-		if err := m3.Write(p); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadManifest(p); err != nil {
-			t.Fatalf("schema %q refused: %v", old, err)
-		}
-	}
 }

@@ -3,7 +3,7 @@
 // (obs.go, histogram.go), a registry the simulation engine drains
 // per-trial operation statistics into, a sampled decision-event trace
 // (events.go, aegis.events/v1 JSONL), live run telemetry (progress.go),
-// and a run-manifest format (manifest.go, aegis.run-manifest/v2) that
+// and a run-manifest format (manifest.go, aegis.run-manifest/v3) that
 // records every experiment run — config, seed, environment, wall/CPU
 // time, counter totals, histograms and result rows — as JSON.
 //

@@ -1,33 +1,26 @@
 package serve
 
 import (
-	"context"
 	"log/slog"
 
 	"aegis/internal/engine"
-	"aegis/internal/scheme"
-	"aegis/internal/sim"
 )
 
-// Runner is an alternative execution strategy for a job's simulation:
-// given the normalized request and its derived configuration, produce
-// the merged aegis.shard/v1 document covering the job's full trial
-// range.  The daemon's default strategy is the local shard engine
-// (runJob); a coordinator daemon installs internal/cluster's
-// Coordinator here to fan the shards out over a worker fleet instead.
-//
-// The contract that keeps cluster runs byte-identical to standalone
-// ones: the returned shard must be exactly what engine.Merge over the
-// run's content-addressed shards produces, the per-scheme counter and
-// histogram deltas must be folded into Config.Obs under the factory's
-// name (as engine.run does), and cache traffic must be counted on
-// Config.Obs.Shards() — runJob builds the aegis.job/v1 result from
-// those, through the same code path for both strategies.
+// Runner chooses where a job's shards are computed by building the
+// *engine.Engine the job runs through.  Every job, standalone or
+// clustered, is one engine run: the engine splits the trial range,
+// consults the cache, credits progress, persists and merges, and runJob
+// builds the aegis.job/v1 result from what it returns.  The standalone
+// daemon's Runner simulates shards locally; a coordinator daemon
+// installs internal/cluster's Coordinator, whose engines carry an
+// engine.Executor that leases each missed shard to a worker.  Cluster
+// results are byte-identical to standalone ones by construction, since
+// both go through the same engine code.
 type Runner interface {
-	RunJob(ctx context.Context, job RunnerJob) (*engine.Shard, error)
+	Engine(job RunnerJob) *engine.Engine
 }
 
-// RunnerJob is everything a Runner needs to execute one job.
+// RunnerJob is what a Runner needs to build one job's engine.
 type RunnerJob struct {
 	// JobID is the job's public ID (j%06d-<spec12>); leases carry it
 	// for correlation.
@@ -36,25 +29,31 @@ type RunnerJob struct {
 	// cluster wire, since a worker can reconstruct the factory and
 	// configuration from it (JobRequest.Normalize, SimConfig).
 	Request JobRequest
-	// Factory is the resolved scheme factory (Request.Normalize's
-	// result); Factory.Name() keys the counters.
-	Factory scheme.Factory
-	// Config is the run's simulation configuration with the job's
-	// observability sinks wired: Obs is the job-private registry,
-	// Progress the live progress, Ctx the hard-stop context.
-	Config sim.Config
-	// Kind is the simulation kind (KindBlocks/KindPages/KindCurve).
-	Kind string
 	// Shards is the number of content-addressed slices to split the
 	// trial range into.
 	Shards int
-	// Curve carries the failure-curve probe parameters (zero unless
-	// Kind is KindCurve).
-	Curve engine.CurveParams
 	// Drain soft-stops the run when closed: finish what is in flight,
 	// issue nothing new, return engine.ErrDraining.
 	Drain <-chan struct{}
 	// Logger carries the job's correlation chain (request ID, job ID,
-	// spec hash); shard-level records should add the shard key.
+	// spec hash); shard-level records add the shard key.
 	Logger *slog.Logger
+}
+
+// localRunner is the standalone daemon's Runner: every shard is
+// simulated in this process, cached under CacheDir when one is set.
+type localRunner struct {
+	cacheDir string
+	workers  int
+}
+
+func (r localRunner) Engine(job RunnerJob) *engine.Engine {
+	return &engine.Engine{
+		Shards:   job.Shards,
+		CacheDir: r.cacheDir,
+		Resume:   r.cacheDir != "",
+		Workers:  r.workers,
+		Drain:    job.Drain,
+		Logger:   job.Logger,
+	}
 }

@@ -38,7 +38,6 @@ import (
 
 	"aegis/internal/engine"
 	"aegis/internal/obs"
-	"aegis/internal/sim"
 )
 
 // Options configures a Server.  The zero value is usable: every field
@@ -64,12 +63,6 @@ type Options struct {
 	// the oldest terminal jobs evicted if the live state alone still
 	// exceeds the bound.  0 = unbounded (the pre-bound behaviour).
 	JournalMaxBytes int64
-	// Runner, when non-nil, replaces the local shard engine as the
-	// job execution strategy — the cluster coordinator installs itself
-	// here (internal/cluster).  The aegis.job/v1 result is built from
-	// the Runner's merged shard through the same code path as local
-	// runs, which is what the cluster-parity test pins.
-	Runner Runner
 	// Shards is the per-job shard count (default 8).  Requests may
 	// override it per job.
 	Shards int
@@ -157,6 +150,9 @@ type Server struct {
 	opts Options
 	mux  *http.ServeMux
 	log  *slog.Logger
+	// runner builds each job's engine: local simulation unless SetRunner
+	// installed another one.
+	runner Runner
 
 	// metrics is the daemon's explicit metric surface; obsReg is the
 	// service-lifetime registry every finished job's counters fold into.
@@ -205,6 +201,7 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:    opts,
 		log:     opts.Logger,
+		runner:  localRunner{cacheDir: opts.CacheDir, workers: opts.EngineWorkers},
 		obsReg:  obs.NewRegistry(),
 		drainCh: make(chan struct{}),
 		jobs:    make(map[string]*Job),
@@ -365,12 +362,12 @@ func (s *Server) Metrics() *obs.Metrics { return s.metrics.m }
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// SetRunner installs the job execution strategy after construction —
-// the cluster coordinator needs the server's metric registry (Metrics)
-// to exist before it can be built, so cmd/aegisd creates the server
-// first, the coordinator second, and wires it here.  Call before Start;
-// the field is read by job workers without locking.
-func (s *Server) SetRunner(r Runner) { s.opts.Runner = r }
+// SetRunner replaces the local Runner after construction — the
+// cluster coordinator needs the server's metric registry (Metrics) to
+// exist before it can be built, so cmd/aegisd creates the server first,
+// the coordinator second, and wires it here.  Call before Start; the
+// field is read by job workers without locking.
+func (s *Server) SetRunner(r Runner) { s.runner = r }
 
 // Mount registers an additional route on the daemon's mux, wrapped in
 // the standard request instrumentation (request IDs, per-route counters
@@ -676,14 +673,13 @@ func (s *Server) runJob(job *Job) {
 		shards = s.opts.Shards
 	}
 	logger := s.jobLogger(job)
-	eng := &engine.Engine{
-		Shards:   shards,
-		CacheDir: s.opts.CacheDir,
-		Resume:   s.opts.CacheDir != "",
-		Workers:  s.opts.EngineWorkers,
-		Drain:    s.drainCh,
-		Logger:   logger,
-	}
+	eng := s.runner.Engine(RunnerJob{
+		JobID:   job.id,
+		Request: req,
+		Shards:  shards,
+		Drain:   s.drainCh,
+		Logger:  logger,
+	})
 	reg := obs.NewRegistry()
 	cfg := req.config()
 	cfg.Workers = 1 // parallelism lives at the shard level in the daemon
@@ -707,19 +703,15 @@ func (s *Server) runJob(job *Job) {
 		Kind:    req.Kind,
 	}
 	var err error
-	if s.opts.Runner != nil {
-		err = s.runViaRunner(ctx, job, cfg, shards, result)
-	} else {
-		switch req.Kind {
-		case KindBlocks:
-			result.Blocks, err = eng.Blocks(job.factory, cfg)
-		case KindPages:
-			result.Pages, err = eng.Pages(job.factory, cfg)
-		case KindCurve:
-			result.Curve, err = eng.FailureCurveBias(job.factory, cfg, req.MaxFaults, req.WritesPerStep, *req.Bias)
-		default:
-			err = fmt.Errorf("serve: unreachable kind %q", req.Kind) // normalize rejects it
-		}
+	switch req.Kind {
+	case KindBlocks:
+		result.Blocks, err = eng.Blocks(job.factory, cfg)
+	case KindPages:
+		result.Pages, err = eng.Pages(job.factory, cfg)
+	case KindCurve:
+		result.Curve, err = eng.FailureCurveBias(job.factory, cfg, req.MaxFaults, req.WritesPerStep, *req.Bias)
+	default:
+		err = fmt.Errorf("serve: unreachable kind %q", req.Kind) // normalize rejects it
 	}
 	// Fold the job's private registry into the service-lifetime one so
 	// /metrics shows cumulative per-scheme and shard-cache totals across
@@ -772,52 +764,6 @@ func (s *Server) runJob(job *Job) {
 		slog.Duration("elapsed", time.Since(start)),
 		slog.Int64("cache_hits", st.CacheHits),
 		slog.Int64("cache_misses", st.CacheMisses))
-}
-
-// runViaRunner executes one job through the pluggable Runner (the
-// cluster coordinator) and translates its merged shard into the result
-// payload, mirroring field for field what the local engine path
-// produces — the cluster-parity test compares the two documents byte
-// for byte.
-func (s *Server) runViaRunner(ctx context.Context, job *Job, cfg sim.Config, shards int, result *JobResult) error {
-	req := job.request
-	cp := engine.CurveParams{}
-	if req.Kind == KindCurve {
-		cp = engine.CurveParams{MaxFaults: req.MaxFaults, WritesPerStep: req.WritesPerStep, Bias: *req.Bias}
-	}
-	merged, err := s.opts.Runner.RunJob(ctx, RunnerJob{
-		JobID:   job.id,
-		Request: req,
-		Factory: job.factory,
-		Config:  cfg,
-		Kind:    req.Kind,
-		Shards:  shards,
-		Curve:   cp,
-		Drain:   s.drainCh,
-		Logger:  s.jobLogger(job),
-	})
-	if err != nil {
-		return err
-	}
-	// Fold the merged deltas into the job's registry under the factory's
-	// name, exactly as engine.run does after a local merge.
-	if cfg.Obs != nil {
-		cfg.Obs.AddTotals(job.factory.Name(), merged.Counters)
-		cfg.Obs.AddHist(job.factory.Name(), merged.Histograms)
-	}
-	switch req.Kind {
-	case KindBlocks:
-		result.Blocks = merged.Blocks
-	case KindPages:
-		result.Pages = merged.Pages
-	case KindCurve:
-		curve := make([]float64, req.MaxFaults+1)
-		for nf := 1; nf <= req.MaxFaults && nf < len(merged.Dead); nf++ {
-			curve[nf] = float64(merged.Dead[nf]) / float64(cfg.Trials)
-		}
-		result.Curve = curve
-	}
-	return nil
 }
 
 // jobLogger returns the daemon logger scoped to one job: every record
