@@ -18,7 +18,6 @@
 package aegisrw
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"aegis/internal/bitvec"
@@ -28,39 +27,29 @@ import (
 	"aegis/internal/scheme"
 )
 
-// RW is the per-block state of Aegis-rw.
+// RW is the per-block state of Aegis-rw.  The embedded scheme.Loop
+// drives the write path; RW supplies the W/R-separating slope decision.
 type RW struct {
+	scheme.Loop
 	layout *plane.Layout
-	view   failcache.View
-	// renew, when set by the factory, hands Reset a fresh fail-cache
-	// view (and with it a fresh block ID), so a reused instance is
-	// indistinguishable from one the factory just built.
-	renew func() failcache.View
-	slope int
-	inv   *bitvec.Vector
+	slope  int
+	inv    *bitvec.Vector
 
-	phys, errs *bitvec.Vector
-	excluded   []bool
-	wrong      []bool
-	faults     []failcache.Fault // merged cached + locally discovered, per pass
-	local      []failcache.Fault
-	errPos     []int
-
-	ops scheme.OpStats
-	tr  scheme.Tracer
+	excluded []bool
 }
 
-var _ scheme.Scheme = (*RW)(nil)
+var (
+	_ scheme.Scheme  = (*RW)(nil)
+	_ scheme.Planner = (*RW)(nil)
+)
 
 // NewRW returns a fresh Aegis-rw instance for one block laid out by l,
 // consulting the given fail-cache view.
 func NewRW(l *plane.Layout, view failcache.View) *RW {
 	return &RW{
+		Loop:     scheme.NewLoop(l.N, view),
 		layout:   l,
-		view:     view,
 		inv:      bitvec.New(l.B),
-		phys:     bitvec.New(l.N),
-		errs:     bitvec.New(l.N),
 		excluded: make([]bool, l.B),
 	}
 }
@@ -77,31 +66,13 @@ func (a *RW) OverheadBits() int { return a.layout.OverheadBits() }
 // Slope returns the current slope counter value.
 func (a *RW) Slope() int { return a.slope }
 
-// OpStats implements scheme.OpReporter.
-func (a *RW) OpStats() scheme.OpStats { return a.ops }
-
-// SetTracer implements scheme.Traceable.
-func (a *RW) SetTracer(t scheme.Tracer) { a.tr = t }
-
-// trace reports a decision event when a tracer is attached.
-func (a *RW) trace(e scheme.TraceEvent) {
-	if a.tr != nil {
-		a.tr.TraceEvent(e)
-	}
-}
-
-// Reset implements scheme.Resettable.  When the factory installed a
-// renew hook the instance also acquires a fresh fail-cache view, so a
-// finite cache sees a new block ID exactly as it would for a freshly
-// constructed instance.
+// Reset implements scheme.Resettable.  An instance a factory built also
+// acquires a fresh fail-cache view, so a finite cache sees a new block
+// ID exactly as it would for a freshly constructed instance.
 func (a *RW) Reset() {
-	if a.renew != nil {
-		a.view = a.renew()
-	}
+	a.Loop.Reset()
 	a.slope = 0
 	a.inv.Zero()
-	a.ops = scheme.OpStats{}
-	a.tr = nil
 }
 
 // findSlope returns a slope under which no group mixes W and R faults,
@@ -136,88 +107,41 @@ func (a *RW) findSlope(faults []failcache.Fault, wrong []bool) (int, bool) {
 	return 0, false
 }
 
-// Write implements scheme.Scheme.
-func (a *RW) Write(blk *pcm.Block, data *bitvec.Vector) error {
-	if data.Len() != a.layout.N {
-		panic(fmt.Sprintf("aegisrw: write of %d bits into %s scheme", data.Len(), a.layout))
+// Write implements scheme.Scheme.  A write normally completes in one
+// pass; extra passes happen only when a cell dies during this very write
+// or, with a finite cache, when a fault was evicted and must be
+// rediscovered.
+func (a *RW) Write(blk *pcm.Block, data *bitvec.Vector) error { return a.Run(a, blk, data) }
+
+// Plan implements scheme.Planner: find a slope that separates W from R
+// faults, then invert every group holding a W fault.
+func (a *RW) Plan(faults []failcache.Fault, wrong []bool) string {
+	k, ok := a.findSlope(faults, wrong)
+	if !ok {
+		return scheme.CauseNoSlope
 	}
-	a.ops.Requests++
-	// a.local holds faults seen during this write request, keyed by
-	// position.  With a perfect cache this stays empty; with a finite
-	// cache it prevents a pair of slot-colliding faults from evicting
-	// each other between verification passes forever.
-	a.local = a.local[:0]
-	// A write normally completes in one pass; extra passes happen only
-	// when a cell dies during this very write (or, with a finite
-	// cache, when a fault was evicted and must be rediscovered).
-	for iter := 0; iter <= a.layout.N; iter++ {
-		a.faults = a.view.AppendKnown(blk, a.faults[:0])
-		for _, f := range a.local {
-			a.faults = appendFault(a.faults, f)
-		}
-		faults := a.faults
-		wrong := a.wrong[:0]
-		for _, f := range faults {
-			wrong = append(wrong, f.Val != data.Get(f.Pos))
-		}
-		a.wrong = wrong
-		k, ok := a.findSlope(faults, wrong)
-		if !ok {
-			a.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(faults), Cause: scheme.CauseNoSlope})
-			return scheme.ErrUnrecoverable
-		}
-		if k != a.slope {
-			a.ops.Repartitions++
-			a.trace(scheme.TraceEvent{Kind: scheme.TraceRepartition, From: a.slope, To: k, Faults: len(faults)})
-		}
+	if k != a.slope {
+		a.Repartition(a.slope, k, len(faults))
 		a.slope = k
-		a.inv.Zero()
-		for i, f := range faults {
-			if wrong[i] {
-				a.inv.Set(a.layout.Group(f.Pos, a.slope), true)
-			}
-		}
-		a.phys.CopyFrom(data)
-		if a.inv.Any() {
-			a.ops.Inversions++
-			if a.tr != nil {
-				a.trace(scheme.TraceEvent{Kind: scheme.TraceInversion, Groups: a.inv.PopCount(), Faults: len(faults)})
-			}
-		}
-		a.layout.XorGroups(a.phys, a.inv, a.slope)
-		blk.WriteRaw(a.phys)
-		a.ops.RawWrites++
-		blk.Verify(a.phys, a.errs)
-		a.ops.VerifyReads++
-		if !a.errs.Any() {
-			if iter > 0 {
-				a.ops.Salvages++
-				a.trace(scheme.TraceEvent{Kind: scheme.TraceSalvage, Passes: iter + 1, Faults: len(faults)})
-			}
-			return nil
-		}
-		a.errPos = a.errs.AppendOnes(a.errPos[:0])
-		for _, p := range a.errPos {
-			f := failcache.Fault{Pos: p, Val: !a.phys.Get(p)}
-			a.view.Record(f)
-			a.local = appendFault(a.local, f)
+	}
+	a.inv.Zero()
+	for i, f := range faults {
+		if wrong[i] {
+			a.inv.Set(a.layout.Group(f.Pos, k), true)
 		}
 	}
-	a.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(a.local), Cause: scheme.CauseIterationLimit})
-	return scheme.ErrUnrecoverable
+	return ""
 }
 
-// appendFault adds f unless a fault at the same position is present
-// (cached entries win on duplicates; the values agree anyway — stuck
-// values never change).
-func appendFault(s []failcache.Fault, f failcache.Fault) []failcache.Fault {
-	for _, g := range s {
-		if g.Pos == f.Pos {
-			return s
-		}
-	}
-	return append(s, f)
+// Encode implements scheme.Planner.
+func (a *RW) Encode(data, phys *bitvec.Vector) bool {
+	phys.CopyFrom(data)
+	a.layout.XorGroups(phys, a.inv, a.slope)
+	return a.inv.Any()
 }
+
+// InvertedGroups implements scheme.Planner.
+func (a *RW) InvertedGroups() int { return a.inv.PopCount() }
 
 // Read implements scheme.Scheme.
 func (a *RW) Read(blk *pcm.Block, dst *bitvec.Vector) *bitvec.Vector {
@@ -271,8 +195,8 @@ func (f *RWFactory) OverheadBits() int { return f.L.OverheadBits() }
 
 // New implements scheme.Factory.
 func (f *RWFactory) New() scheme.Scheme {
-	s := NewRW(f.L, f.Cache.View(f.nextID.Add(1)-1))
-	s.renew = func() failcache.View { return f.Cache.View(f.nextID.Add(1) - 1) }
+	s := NewRW(f.L, nil)
+	s.BindCache(f.Cache, &f.nextID)
 	return s
 }
 

@@ -11,47 +11,39 @@
 // the slope) whenever two known faults collide in a group, set the
 // inversion bits so each faulty cell's physical value equals its stuck
 // value, rewrite, and repeat until a verification read comes back clean.
-// Every rewrite goes through the PCM model, so the extra inversion-write
+// scheme.Loop runs that protocol; this package supplies the slope and
+// inversion decision.  Every rewrite goes through the PCM model, so the extra inversion-write
 // wear the paper discusses (Figure 8's "intensive inversion writes") is
 // accounted for.
 package core
 
 import (
-	"fmt"
-
 	"aegis/internal/bitvec"
+	"aegis/internal/failcache"
 	"aegis/internal/pcm"
 	"aegis/internal/plane"
 	"aegis/internal/scheme"
 )
 
 // Aegis is the per-block state of the base (cache-less) Aegis scheme.
+// The embedded scheme.Loop drives the write path; Aegis supplies the
+// partition decision.
 type Aegis struct {
+	scheme.Loop
 	layout *plane.Layout
 	slope  int
 	inv    *bitvec.Vector // inversion vector: bit y set ⇔ group y stored inverted
-
-	// Scratch buffers reused across writes to keep the hot path
-	// allocation-free.
-	phys, errs *bitvec.Vector
-	faultPos   []int
-	faultVal   []bool
-	errPos     []int
-
-	ops scheme.OpStats
-	tr  scheme.Tracer
+	pos    []int          // known fault positions, scratch for Plan
 }
 
-var _ scheme.Scheme = (*Aegis)(nil)
+var (
+	_ scheme.Scheme  = (*Aegis)(nil)
+	_ scheme.Planner = (*Aegis)(nil)
+)
 
 // New returns a fresh Aegis instance for one block laid out by l.
 func New(l *plane.Layout) *Aegis {
-	return &Aegis{
-		layout: l,
-		inv:    bitvec.New(l.B),
-		phys:   bitvec.New(l.N),
-		errs:   bitvec.New(l.N),
-	}
+	return &Aegis{Loop: scheme.NewLoop(l.N, nil), layout: l, inv: bitvec.New(l.B)}
 }
 
 // Layout returns the partition layout the instance uses.
@@ -70,127 +62,58 @@ func (a *Aegis) Slope() int { return a.slope }
 // InversionVector returns a copy of the current inversion vector.
 func (a *Aegis) InversionVector() *bitvec.Vector { return a.inv.Clone() }
 
-// OpStats implements scheme.OpReporter.
-func (a *Aegis) OpStats() scheme.OpStats { return a.ops }
-
-// SetTracer implements scheme.Traceable.
-func (a *Aegis) SetTracer(t scheme.Tracer) { a.tr = t }
-
-// trace reports a decision event when a tracer is attached.
-func (a *Aegis) trace(e scheme.TraceEvent) {
-	if a.tr != nil {
-		a.tr.TraceEvent(e)
-	}
-}
-
 // Reset implements scheme.Resettable: slope 0, empty inversion vector,
-// zeroed counters, no tracer — the state New returns.  Scratch buffers
-// keep their capacity; they carry no information between writes.
+// zeroed counters, no tracer — the state New returns.
 func (a *Aegis) Reset() {
+	a.Loop.Reset()
 	a.slope = 0
 	a.inv.Zero()
-	a.ops = scheme.OpStats{}
-	a.tr = nil
 }
 
-// buildPhysical computes the physical image of data under the current
-// slope and inversion vector into a.phys.
-func (a *Aegis) buildPhysical(data *bitvec.Vector) {
-	a.phys.CopyFrom(data)
-	a.layout.XorGroups(a.phys, a.inv, a.slope)
-}
+// Write implements scheme.Scheme.  The controller has no persistent
+// fault memory (that is the whole point of the cache-less design): each
+// request rediscovers what its data exposes.
+func (a *Aegis) Write(blk *pcm.Block, data *bitvec.Vector) error { return a.Run(a, blk, data) }
 
-// Write implements scheme.Scheme.
-func (a *Aegis) Write(blk *pcm.Block, data *bitvec.Vector) error {
-	if data.Len() != a.layout.N {
-		panic(fmt.Sprintf("core: write of %d bits into %s scheme", data.Len(), a.layout))
+// Plan implements scheme.Planner.  It re-partitions when two known
+// faults share a group — FindCollisionFree starts at the current slope,
+// so a configuration that already separates them stays, matching the
+// paper's "increment the slope counter" otherwise — and inverts the
+// group of every wrong fault, so each faulty cell's physical value
+// equals its stuck value.  Groups without a known fault are stored
+// plain.
+func (a *Aegis) Plan(faults []failcache.Fault, wrong []bool) string {
+	a.pos = a.pos[:0]
+	for _, f := range faults {
+		a.pos = append(a.pos, f.Pos)
 	}
-	// Faults discovered during this write request.  The controller has
-	// no persistent fault memory (that is the whole point of the
-	// cache-less design); it rediscovers what this data exposes.
-	a.ops.Requests++
-	a.faultPos = a.faultPos[:0]
-	a.faultVal = a.faultVal[:0]
-
-	// Each iteration either succeeds or discovers at least one new
-	// fault, so N+1 iterations are an absolute upper bound.
-	for iter := 0; iter <= a.layout.N; iter++ {
-		a.buildPhysical(data)
-		if a.inv.Any() {
-			a.ops.Inversions++
-			if a.tr != nil {
-				a.trace(scheme.TraceEvent{Kind: scheme.TraceInversion, Groups: a.inv.PopCount(), Faults: len(a.faultPos)})
-			}
-		}
-		blk.WriteRaw(a.phys)
-		a.ops.RawWrites++
-		blk.Verify(a.phys, a.errs)
-		a.ops.VerifyReads++
-		if !a.errs.Any() {
-			if iter > 0 {
-				a.ops.Salvages++
-				a.trace(scheme.TraceEvent{Kind: scheme.TraceSalvage, Passes: iter + 1, Faults: len(a.faultPos)})
-			}
-			return nil
-		}
-		// Every mismatch is a stuck-at-Wrong cell for the intended
-		// physical image; its read-back (stuck) value is the
-		// complement of what we tried to store.
-		grew := false
-		a.errPos = a.errs.AppendOnes(a.errPos[:0])
-		for _, p := range a.errPos {
-			if a.knownFault(p) {
-				continue
-			}
-			a.faultPos = append(a.faultPos, p)
-			a.faultVal = append(a.faultVal, !a.phys.Get(p))
-			grew = true
-		}
-		if !grew {
-			// With a collision-free slope and correctly set
-			// inversion bits this cannot happen; treat it as
-			// unrecoverable rather than looping.
-			a.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(a.faultPos), Cause: scheme.CauseStuckVerify})
-			return scheme.ErrUnrecoverable
-		}
-		// Re-partition if any two known faults now share a group.
-		// FindCollisionFree starts at the current slope, so when the
-		// current configuration already separates them no re-partition
-		// happens — matching the paper's "increment the slope counter"
-		// behaviour otherwise.
-		k, ok := a.layout.FindCollisionFree(a.faultPos, a.slope)
-		if !ok {
-			a.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(a.faultPos), Cause: scheme.CauseNoSlope})
-			return scheme.ErrUnrecoverable
-		}
-		if k != a.slope {
-			a.ops.Repartitions++
-			a.trace(scheme.TraceEvent{Kind: scheme.TraceRepartition, From: a.slope, To: k, Faults: len(a.faultPos)})
-		}
+	k, ok := a.layout.FindCollisionFree(a.pos, a.slope)
+	if !ok {
+		return scheme.CauseNoSlope
+	}
+	if k != a.slope {
+		a.Repartition(a.slope, k, len(faults))
 		a.slope = k
-		// Rebuild the inversion vector: group of fault p gets
-		// inv = data[p] XOR stuck[p], so the physical image at p
-		// equals the stuck value.  Groups without a known fault are
-		// stored plain.
-		a.inv.Zero()
-		for i, p := range a.faultPos {
-			if data.Get(p) != a.faultVal[i] {
-				a.inv.Set(a.layout.Group(p, a.slope), true)
-			}
+	}
+	a.inv.Zero()
+	for i, f := range faults {
+		if wrong[i] {
+			a.inv.Set(a.layout.Group(f.Pos, k), true)
 		}
 	}
-	a.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(a.faultPos), Cause: scheme.CauseIterationLimit})
-	return scheme.ErrUnrecoverable
+	return ""
 }
 
-func (a *Aegis) knownFault(p int) bool {
-	for _, q := range a.faultPos {
-		if q == p {
-			return true
-		}
-	}
-	return false
+// Encode implements scheme.Planner: data with the inverted groups
+// flipped under the current slope.
+func (a *Aegis) Encode(data, phys *bitvec.Vector) bool {
+	phys.CopyFrom(data)
+	a.layout.XorGroups(phys, a.inv, a.slope)
+	return a.inv.Any()
 }
+
+// InvertedGroups implements scheme.Planner.
+func (a *Aegis) InvertedGroups() int { return a.inv.PopCount() }
 
 // Read implements scheme.Scheme: logical data is the physical contents
 // with the inverted groups flipped back.

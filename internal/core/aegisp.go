@@ -68,8 +68,7 @@ func (a *AegisP) Write(blk *pcm.Block, data *bitvec.Vector) error {
 		// slope helps: in any collision-free configuration each wrong
 		// fault occupies its own group, so the inverted-group count is
 		// the W-fault count of this data.
-		a.inner.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(a.inner.faultPos), Cause: scheme.CausePointerBudget})
-		return scheme.ErrUnrecoverable
+		return a.inner.Die(scheme.CausePointerBudget)
 	}
 	return nil
 }

@@ -35,30 +35,23 @@ import (
 	"aegis/internal/scheme"
 )
 
-// RDIS is the per-block state of RDIS-k.
+// RDIS is the per-block state of RDIS-k.  The embedded scheme.Loop
+// drives the write path; RDIS supplies the invertible-set decision.
 type RDIS struct {
-	n, rows, cols, depth int
-	view                 failcache.View
-	// renew, when set by the factory, hands Reset a fresh fail-cache
-	// view (and with it a fresh block ID), so a reused instance is
-	// indistinguishable from one the factory just built.
-	renew func() failcache.View
+	scheme.Loop
+	rows, cols, depth int
 
-	parity     *bitvec.Vector // inversion mask of the last successful write
-	phys, errs *bitvec.Vector
+	parity *bitvec.Vector // inversion mask of the last planned write
 
-	// Row/column membership scratch for computeParity's level recursion.
+	// Row/column membership scratch for Plan's level recursion.
 	prevRow, curRow []bool
 	prevCol, curCol []bool
-	faults          []failcache.Fault // merged cached + locally discovered, per pass
-	local           []failcache.Fault
-	errPos          []int
-
-	ops scheme.OpStats
-	tr  scheme.Tracer
 }
 
-var _ scheme.Scheme = (*RDIS)(nil)
+var (
+	_ scheme.Scheme  = (*RDIS)(nil)
+	_ scheme.Planner = (*RDIS)(nil)
+)
 
 // New returns a fresh RDIS-depth instance over a rows×cols matrix view of
 // an n-bit block (rows·cols must equal n).
@@ -70,11 +63,11 @@ func New(n, rows, cols, depth int, view failcache.View) (*RDIS, error) {
 		return nil, fmt.Errorf("rdis: depth %d must be ≥ 1", depth)
 	}
 	return &RDIS{
-		n: n, rows: rows, cols: cols, depth: depth,
-		view:    view,
+		Loop:    scheme.NewLoop(n, view),
+		rows:    rows,
+		cols:    cols,
+		depth:   depth,
 		parity:  bitvec.New(n),
-		phys:    bitvec.New(n),
-		errs:    bitvec.New(n),
 		prevRow: make([]bool, rows),
 		curRow:  make([]bool, rows),
 		prevCol: make([]bool, cols),
@@ -91,42 +84,25 @@ func (r *RDIS) OverheadBits() int { return OverheadBits(r.rows, r.cols) }
 // OverheadBits is the RDIS bookkeeping cost for a rows×cols matrix.
 func OverheadBits(rows, cols int) int { return 2*(rows+cols) + 1 }
 
-// OpStats implements scheme.OpReporter.
-func (r *RDIS) OpStats() scheme.OpStats { return r.ops }
-
-// SetTracer implements scheme.Traceable.
-func (r *RDIS) SetTracer(t scheme.Tracer) { r.tr = t }
-
-// Reset implements scheme.Resettable.  When the factory installed a
-// renew hook the instance also acquires a fresh fail-cache view, so a
-// finite cache sees a new block ID exactly as it would for a freshly
-// constructed instance.
+// Reset implements scheme.Resettable.  An instance a factory built also
+// acquires a fresh fail-cache view, so a finite cache sees a new block
+// ID exactly as it would for a freshly constructed instance.
 func (r *RDIS) Reset() {
-	if r.renew != nil {
-		r.view = r.renew()
-	}
+	r.Loop.Reset()
 	r.parity.Zero()
-	r.ops = scheme.OpStats{}
-	r.tr = nil
-}
-
-// trace reports a decision event when a tracer is attached.
-func (r *RDIS) trace(e scheme.TraceEvent) {
-	if r.tr != nil {
-		r.tr.TraceEvent(e)
-	}
 }
 
 // cellOf maps matrix coordinates to the bit offset (row-major).
 func (r *RDIS) cellOf(row, col int) int { return row*r.cols + col }
 
-// computeParity builds the invertible-set parity mask for writing data
-// over the given faults.  ok=false means the recursion depth was
+// Plan implements scheme.Planner: it builds the invertible-set parity
+// mask over the known faults, and fails when the recursion depth is
 // exhausted with wrong cells remaining.
-func (r *RDIS) computeParity(faults []failcache.Fault, data *bitvec.Vector, parity *bitvec.Vector) bool {
+func (r *RDIS) Plan(faults []failcache.Fault, wrong []bool) string {
+	parity := r.parity
 	parity.Zero()
 	if len(faults) == 0 {
-		return true
+		return ""
 	}
 	// The level-i set is a product Rᵢ×Cᵢ with Rᵢ ⊆ Rᵢ₋₁, Cᵢ ⊆ Cᵢ₋₁, so
 	// membership of the previous level reduces to two boolean slices
@@ -153,32 +129,32 @@ func (r *RDIS) computeParity(faults []failcache.Fault, data *bitvec.Vector, pari
 			curCol[i] = false
 		}
 		any := false
-		for _, f := range faults {
+		for i, f := range faults {
 			row := f.Pos / r.cols
 			col := f.Pos % r.cols
 			if !prevRow[row] || !prevCol[col] {
 				continue
 			}
-			if (f.Val != data.Get(f.Pos)) == wantDiffer {
+			if wrong[i] == wantDiffer {
 				curRow[row] = true
 				curCol[col] = true
 				any = true
 			}
 		}
 		if !any {
-			return true // all stuck cells agree; parity is final
+			return "" // all stuck cells agree; parity is final
 		}
 		r.flipSet(parity, curRow, curCol)
 		copy(prevRow, curRow)
 		copy(prevCol, curCol)
 	}
 	// Depth exhausted: succeed only if every fault now agrees.
-	for _, f := range faults {
-		if f.Val != data.Get(f.Pos) != parity.Get(f.Pos) {
-			return false
+	for i, f := range faults {
+		if wrong[i] != parity.Get(f.Pos) {
+			return scheme.CauseDepthExhausted
 		}
 	}
-	return true
+	return ""
 }
 
 // flipSet flips the parity of every cell in curRow×curCol.  Rows are
@@ -220,69 +196,23 @@ func (r *RDIS) flipSet(parity *bitvec.Vector, curRow, curCol []bool) {
 }
 
 // Write implements scheme.Scheme.
-func (r *RDIS) Write(blk *pcm.Block, data *bitvec.Vector) error {
-	if data.Len() != r.n {
-		panic(fmt.Sprintf("rdis: write of %d bits into %d-bit scheme", data.Len(), r.n))
-	}
-	r.ops.Requests++
-	r.local = r.local[:0]
-	for iter := 0; iter <= r.n; iter++ {
-		r.faults = r.view.AppendKnown(blk, r.faults[:0])
-		for _, f := range r.local {
-			r.faults = appendFault(r.faults, f)
-		}
-		faults := r.faults
-		if !r.computeParity(faults, data, r.parity) {
-			r.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(faults), Cause: scheme.CauseDepthExhausted})
-			return scheme.ErrUnrecoverable
-		}
-		if r.parity.Any() {
-			r.ops.Inversions++
-			if r.tr != nil {
-				// RDIS has no group notion; Groups reports inverted cells.
-				r.trace(scheme.TraceEvent{Kind: scheme.TraceInversion, Groups: r.parity.PopCount(), Faults: len(faults)})
-			}
-		}
-		r.phys.Xor(data, r.parity)
-		blk.WriteRaw(r.phys)
-		r.ops.RawWrites++
-		blk.Verify(r.phys, r.errs)
-		r.ops.VerifyReads++
-		if !r.errs.Any() {
-			if iter > 0 {
-				r.ops.Salvages++
-				r.trace(scheme.TraceEvent{Kind: scheme.TraceSalvage, Passes: iter + 1, Faults: len(faults)})
-			}
-			return nil
-		}
-		r.errPos = r.errs.AppendOnes(r.errPos[:0])
-		for _, p := range r.errPos {
-			f := failcache.Fault{Pos: p, Val: !r.phys.Get(p)}
-			r.view.Record(f)
-			r.local = appendFault(r.local, f)
-		}
-	}
-	r.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(r.local), Cause: scheme.CauseIterationLimit})
-	return scheme.ErrUnrecoverable
+func (r *RDIS) Write(blk *pcm.Block, data *bitvec.Vector) error { return r.Run(r, blk, data) }
+
+// Encode implements scheme.Planner.
+func (r *RDIS) Encode(data, phys *bitvec.Vector) bool {
+	phys.Xor(data, r.parity)
+	return r.parity.Any()
 }
+
+// InvertedGroups implements scheme.Planner.  RDIS has no group notion;
+// it reports inverted cells.
+func (r *RDIS) InvertedGroups() int { return r.parity.PopCount() }
 
 // Read implements scheme.Scheme.
 func (r *RDIS) Read(blk *pcm.Block, dst *bitvec.Vector) *bitvec.Vector {
 	dst = blk.Read(dst)
 	dst.Xor(dst, r.parity)
 	return dst
-}
-
-// appendFault adds f unless a fault at the same position is present
-// (cached entries win on duplicates; the values agree anyway — stuck
-// values never change).
-func appendFault(s []failcache.Fault, f failcache.Fault) []failcache.Fault {
-	for _, g := range s {
-		if g.Pos == f.Pos {
-			return s
-		}
-	}
-	return append(s, f)
 }
 
 // Geometry returns the default near-square power-of-two matrix shape for
@@ -332,11 +262,11 @@ func (f *Factory) OverheadBits() int { return OverheadBits(f.Rows, f.Cols) }
 
 // New implements scheme.Factory.
 func (f *Factory) New() scheme.Scheme {
-	r, err := New(f.N, f.Rows, f.Cols, f.Depth, f.Cache.View(f.nextID.Add(1)-1))
+	r, err := New(f.N, f.Rows, f.Cols, f.Depth, nil)
 	if err != nil {
 		panic(err)
 	}
-	r.renew = func() failcache.View { return f.Cache.View(f.nextID.Add(1) - 1) }
+	r.BindCache(f.Cache, &f.nextID)
 	return r
 }
 

@@ -22,33 +22,24 @@ import (
 // cells must not share a group.  Both relaxations are what let
 // "SAFERN-cache" tolerate far more faults in the paper's Figure 8.
 type Cached struct {
+	scheme.Loop
 	n        int
 	addrBits int
 	m        int
-	view     failcache.View
-	// renew, when set by the factory, hands Reset a fresh fail-cache
-	// view (and with it a fresh block ID), so a reused instance is
-	// indistinguishable from one the factory just built.
-	renew func() failcache.View
 
 	fields     []int
 	inv        *bitvec.Vector
 	masks      []*bitvec.Vector // allocated once, refilled per field change
 	masksBuilt bool             // false until masks match the current fields
 
-	phys, errs *bitvec.Vector
-	subset     []int
-	wrong      []bool
-	faults     []failcache.Fault // merged cached + locally discovered, per pass
-	local      []failcache.Fault
-	errPos     []int
-	invGroups  []int
-
-	ops scheme.OpStats
-	tr  scheme.Tracer
+	subset    []int
+	invGroups []int
 }
 
-var _ scheme.Scheme = (*Cached)(nil)
+var (
+	_ scheme.Scheme  = (*Cached)(nil)
+	_ scheme.Planner = (*Cached)(nil)
+)
 
 // NewCached returns a fresh SAFERN-cache instance.
 func NewCached(n, nGroups int, view failcache.View) (*Cached, error) {
@@ -59,13 +50,11 @@ func NewCached(n, nGroups int, view failcache.View) (*Cached, error) {
 		return nil, fmt.Errorf("safer: group count %d invalid for %d-bit block", nGroups, n)
 	}
 	c := &Cached{
+		Loop:     scheme.NewLoop(n, view),
 		n:        n,
 		addrBits: log2(n),
 		m:        log2(nGroups),
-		view:     view,
 		inv:      bitvec.New(nGroups),
-		phys:     bitvec.New(n),
-		errs:     bitvec.New(n),
 	}
 	if c.m > c.addrBits {
 		c.m = c.addrBits
@@ -81,32 +70,14 @@ func (c *Cached) Name() string { return fmt.Sprintf("SAFER%d-cache", 1<<c.m) }
 // the paper accounts it.
 func (c *Cached) OverheadBits() int { return OverheadBits(c.n, 1<<c.m) }
 
-// OpStats implements scheme.OpReporter.
-func (c *Cached) OpStats() scheme.OpStats { return c.ops }
-
-// SetTracer implements scheme.Traceable.
-func (c *Cached) SetTracer(t scheme.Tracer) { c.tr = t }
-
-// Reset implements scheme.Resettable.  When the factory installed a
-// renew hook the instance also acquires a fresh fail-cache view, so a
-// finite cache sees a new block ID exactly as it would for a freshly
-// constructed instance.
+// Reset implements scheme.Resettable.  An instance a factory built also
+// acquires a fresh fail-cache view, so a finite cache sees a new block
+// ID exactly as it would for a freshly constructed instance.
 func (c *Cached) Reset() {
-	if c.renew != nil {
-		c.view = c.renew()
-	}
+	c.Loop.Reset()
 	c.fields = c.fields[:0]
 	c.inv.Zero()
 	c.masksBuilt = false
-	c.ops = scheme.OpStats{}
-	c.tr = nil
-}
-
-// trace reports a decision event when a tracer is attached.
-func (c *Cached) trace(e scheme.TraceEvent) {
-	if c.tr != nil {
-		c.tr.TraceEvent(e)
-	}
 }
 
 // fieldsFingerprint compresses a position set into a bitmask, the
@@ -198,94 +169,57 @@ func (c *Cached) rebuildMasks() {
 	c.masksBuilt = true
 }
 
-// Write implements scheme.Scheme.
-func (c *Cached) Write(blk *pcm.Block, data *bitvec.Vector) error {
-	if data.Len() != c.n {
-		panic(fmt.Sprintf("safer: write of %d bits into %d-bit scheme", data.Len(), c.n))
-	}
-	c.ops.Requests++
-	c.local = c.local[:0]
-	for iter := 0; iter <= c.n; iter++ {
-		c.faults = c.view.AppendKnown(blk, c.faults[:0])
-		for _, f := range c.local {
-			c.faults = appendFault(c.faults, f)
-		}
-		faults := c.faults
-		wrong := c.wrong[:0]
-		for _, f := range faults {
-			wrong = append(wrong, f.Val != data.Get(f.Pos))
-		}
-		c.wrong = wrong
-		fields, ok := c.selectFields(faults, wrong)
-		if !ok {
-			c.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(faults), Cause: scheme.CauseNoFieldSet})
-			return scheme.ErrUnrecoverable
-		}
-		if !equalInts(fields, c.fields) {
-			c.ops.Repartitions++
-			if c.tr != nil {
-				c.trace(scheme.TraceEvent{
-					Kind: scheme.TraceRepartition,
-					From: fieldsFingerprint(c.fields), To: fieldsFingerprint(fields),
-					Faults: len(faults),
-				})
-			}
-			c.fields = append(c.fields[:0], fields...)
-			c.rebuildMasks()
-		} else if !c.masksBuilt {
-			c.rebuildMasks()
-		}
-		c.inv.Zero()
-		for i, f := range faults {
-			if wrong[i] {
-				c.inv.Set(c.group(f.Pos, c.fields), true)
-			}
-		}
-		c.phys.CopyFrom(data)
-		if c.inv.Any() {
-			c.ops.Inversions++
-			if c.tr != nil {
-				c.trace(scheme.TraceEvent{Kind: scheme.TraceInversion, Groups: c.inv.PopCount(), Faults: len(faults)})
-			}
-		}
-		c.invGroups = c.inv.AppendOnes(c.invGroups[:0])
-		for _, g := range c.invGroups {
-			c.phys.XorInto(c.masks[g])
-		}
-		blk.WriteRaw(c.phys)
-		c.ops.RawWrites++
-		blk.Verify(c.phys, c.errs)
-		c.ops.VerifyReads++
-		if !c.errs.Any() {
-			if iter > 0 {
-				c.ops.Salvages++
-				c.trace(scheme.TraceEvent{Kind: scheme.TraceSalvage, Passes: iter + 1, Faults: len(faults)})
-			}
-			return nil
-		}
-		c.errPos = c.errs.AppendOnes(c.errPos[:0])
-		for _, p := range c.errPos {
-			f := failcache.Fault{Pos: p, Val: !c.phys.Get(p)}
-			c.view.Record(f)
-			c.local = appendFault(c.local, f)
-		}
-	}
-	c.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(c.local), Cause: scheme.CauseIterationLimit})
-	return scheme.ErrUnrecoverable
-}
-
-// Read implements scheme.Scheme.
-func (c *Cached) Read(blk *pcm.Block, dst *bitvec.Vector) *bitvec.Vector {
-	dst = blk.Read(dst)
-	if !c.inv.Any() {
-		return dst
-	}
+// xorInverted flips the cells of every inverted group in v.
+func (c *Cached) xorInverted(v *bitvec.Vector) {
 	if !c.masksBuilt {
 		c.rebuildMasks()
 	}
 	c.invGroups = c.inv.AppendOnes(c.invGroups[:0])
 	for _, g := range c.invGroups {
-		dst.XorInto(c.masks[g])
+		v.XorInto(c.masks[g])
+	}
+}
+
+// Write implements scheme.Scheme.
+func (c *Cached) Write(blk *pcm.Block, data *bitvec.Vector) error { return c.Run(c, blk, data) }
+
+// Plan implements scheme.Planner: re-select the position set from
+// scratch for the known faults, then invert every group holding a
+// wrong fault.
+func (c *Cached) Plan(faults []failcache.Fault, wrong []bool) string {
+	fields, ok := c.selectFields(faults, wrong)
+	if !ok {
+		return scheme.CauseNoFieldSet
+	}
+	if !equalInts(fields, c.fields) {
+		c.Repartition(fieldsFingerprint(c.fields), fieldsFingerprint(fields), len(faults))
+		c.fields = append(c.fields[:0], fields...)
+		c.rebuildMasks()
+	}
+	c.inv.Zero()
+	for i, f := range faults {
+		if wrong[i] {
+			c.inv.Set(c.group(f.Pos, c.fields), true)
+		}
+	}
+	return ""
+}
+
+// Encode implements scheme.Planner.
+func (c *Cached) Encode(data, phys *bitvec.Vector) bool {
+	phys.CopyFrom(data)
+	c.xorInverted(phys)
+	return len(c.invGroups) > 0
+}
+
+// InvertedGroups implements scheme.Planner.
+func (c *Cached) InvertedGroups() int { return len(c.invGroups) }
+
+// Read implements scheme.Scheme.
+func (c *Cached) Read(blk *pcm.Block, dst *bitvec.Vector) *bitvec.Vector {
+	dst = blk.Read(dst)
+	if c.inv.Any() {
+		c.xorInverted(dst)
 	}
 	return dst
 }
@@ -300,18 +234,6 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// appendFault adds f unless a fault at the same position is present
-// (cached entries win on duplicates; the values agree anyway — stuck
-// values never change).
-func appendFault(s []failcache.Fault, f failcache.Fault) []failcache.Fault {
-	for _, g := range s {
-		if g.Pos == f.Pos {
-			return s
-		}
-	}
-	return append(s, f)
 }
 
 // CachedFactory builds SAFERN-cache instances.
@@ -351,11 +273,11 @@ func (f *CachedFactory) OverheadBits() int { return OverheadBits(f.N, f.Groups) 
 
 // New implements scheme.Factory.
 func (f *CachedFactory) New() scheme.Scheme {
-	c, err := NewCached(f.N, f.Groups, f.Cache.View(f.nextID.Add(1)-1))
+	c, err := NewCached(f.N, f.Groups, nil)
 	if err != nil {
 		panic(err)
 	}
-	c.renew = func() failcache.View { return f.Cache.View(f.nextID.Add(1) - 1) }
+	c.BindCache(f.Cache, &f.nextID)
 	return c
 }
 

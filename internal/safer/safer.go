@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"aegis/internal/bitvec"
+	"aegis/internal/failcache"
 	"aegis/internal/pcm"
 	"aegis/internal/plane"
 	"aegis/internal/scheme"
@@ -73,8 +74,11 @@ func buildGroupMasks(masks []*bitvec.Vector, fields []int, n int) {
 	}
 }
 
-// SAFER is the per-block state of the cache-less SAFER-N scheme.
+// SAFER is the per-block state of the cache-less SAFER-N scheme.  The
+// embedded scheme.Loop drives the write path; SAFER supplies the
+// partition-vector decision.
 type SAFER struct {
+	scheme.Loop
 	n        int // block bits (power of two)
 	addrBits int // log2 n
 	m        int // maximum partition-vector size (N = 2^m groups)
@@ -89,17 +93,13 @@ type SAFER struct {
 	maskStore  []*bitvec.Vector
 	masksBuilt bool
 
-	faultPos   []int
-	faultVal   []bool
-	errPos     []int
-	invGroups  []int
-	phys, errs *bitvec.Vector
-
-	ops scheme.OpStats
-	tr  scheme.Tracer
+	invGroups []int
 }
 
-var _ scheme.Scheme = (*SAFER)(nil)
+var (
+	_ scheme.Scheme  = (*SAFER)(nil)
+	_ scheme.Planner = (*SAFER)(nil)
+)
 
 // New returns a fresh SAFER instance for an n-bit block with at most
 // nGroups = 2^m groups.  n and nGroups must be powers of two with
@@ -112,12 +112,11 @@ func New(n, nGroups int) (*SAFER, error) {
 		return nil, fmt.Errorf("safer: group count %d invalid for %d-bit block", nGroups, n)
 	}
 	return &SAFER{
+		Loop:     scheme.NewLoop(n, nil),
 		n:        n,
 		addrBits: log2(n),
 		m:        log2(nGroups),
 		inv:      bitvec.New(nGroups),
-		phys:     bitvec.New(n),
-		errs:     bitvec.New(n),
 	}, nil
 }
 
@@ -147,28 +146,14 @@ func OverheadBits(n, nGroups int) int {
 // Fields returns the selected address-bit positions (for tests).
 func (s *SAFER) Fields() []int { return append([]int(nil), s.fields...) }
 
-// OpStats implements scheme.OpReporter.
-func (s *SAFER) OpStats() scheme.OpStats { return s.ops }
-
-// SetTracer implements scheme.Traceable.
-func (s *SAFER) SetTracer(t scheme.Tracer) { s.tr = t }
-
 // Reset implements scheme.Resettable: empty partition vector, cleared
 // inversion bits, zeroed counters, no tracer — the state New returns.
 // The mask store keeps its allocation; masks are rebuilt on demand.
 func (s *SAFER) Reset() {
+	s.Loop.Reset()
 	s.fields = s.fields[:0]
 	s.inv.Zero()
 	s.masksBuilt = false
-	s.ops = scheme.OpStats{}
-	s.tr = nil
-}
-
-// trace reports a decision event when a tracer is attached.
-func (s *SAFER) trace(e scheme.TraceEvent) {
-	if s.tr != nil {
-		s.tr.TraceEvent(e)
-	}
 }
 
 // group projects a cell address onto the selected positions.
@@ -187,7 +172,7 @@ func (s *SAFER) group(x int) int {
 // reports false when the vector is full (block death); a differing
 // unselected position otherwise always exists, because equal projections
 // with all differing bits selected is a contradiction.
-func (s *SAFER) addFieldFor(x1, x2 int) bool {
+func (s *SAFER) addFieldFor(faults []failcache.Fault, x1, x2 int) bool {
 	if len(s.fields) >= s.m {
 		return false
 	}
@@ -208,7 +193,7 @@ func (s *SAFER) addFieldFor(x1, x2 int) bool {
 			continue
 		}
 		s.fields = append(s.fields, pos)
-		c := s.collidingPairs()
+		c := s.collidingPairs(faults)
 		s.fields = s.fields[:len(s.fields)-1]
 		if bestCollisions < 0 || c < bestCollisions {
 			best, bestCollisions = pos, c
@@ -220,21 +205,20 @@ func (s *SAFER) addFieldFor(x1, x2 int) bool {
 	}
 	s.fields = append(s.fields, best)
 	s.masksBuilt = false
-	s.ops.Repartitions++
 	// From/To report the partition-vector size: SAFER re-partitions by
 	// growing the selected-position set, never by swapping a slope.
-	s.trace(scheme.TraceEvent{Kind: scheme.TraceRepartition, From: len(s.fields) - 1, To: len(s.fields), Faults: len(s.faultPos)})
+	s.Repartition(len(s.fields)-1, len(s.fields), len(faults))
 	return true
 }
 
-// collidingPairs counts known-fault pairs sharing a group under the
-// current fields.
-func (s *SAFER) collidingPairs() int {
+// collidingPairs counts fault pairs sharing a group under the current
+// fields.
+func (s *SAFER) collidingPairs(faults []failcache.Fault) int {
 	c := 0
-	for i := 0; i < len(s.faultPos); i++ {
-		gi := s.group(s.faultPos[i])
-		for j := i + 1; j < len(s.faultPos); j++ {
-			if gi == s.group(s.faultPos[j]) {
+	for i := range faults {
+		gi := s.group(faults[i].Pos)
+		for j := i + 1; j < len(faults); j++ {
+			if gi == s.group(faults[j].Pos) {
 				c++
 			}
 		}
@@ -242,16 +226,16 @@ func (s *SAFER) collidingPairs() int {
 	return c
 }
 
-// separateKnownFaults grows the partition vector until all known faults
-// have distinct projections.  It reports false when the vector budget is
+// separateFaults grows the partition vector until all faults have
+// distinct projections.  It reports false when the vector budget is
 // exhausted first.
-func (s *SAFER) separateKnownFaults() bool {
+func (s *SAFER) separateFaults(faults []failcache.Fault) bool {
 	for {
 		collision := false
-		for i := 0; i < len(s.faultPos) && !collision; i++ {
-			for j := i + 1; j < len(s.faultPos); j++ {
-				if s.group(s.faultPos[i]) == s.group(s.faultPos[j]) {
-					if !s.addFieldFor(s.faultPos[i], s.faultPos[j]) {
+		for i := 0; i < len(faults) && !collision; i++ {
+			for j := i + 1; j < len(faults); j++ {
+				if s.group(faults[i].Pos) == s.group(faults[j].Pos) {
+					if !s.addFieldFor(faults, faults[i].Pos, faults[j].Pos) {
 						return false
 					}
 					collision = true
@@ -281,101 +265,54 @@ func (s *SAFER) groupMasks() []*bitvec.Vector {
 	return s.masks
 }
 
-// buildPhysical computes the physical image of data under the current
-// fields and inversion bits.
-func (s *SAFER) buildPhysical(data *bitvec.Vector) {
-	s.phys.CopyFrom(data)
-	if !s.inv.Any() {
-		return
-	}
+// xorInverted flips the cells of every inverted group in v.
+func (s *SAFER) xorInverted(v *bitvec.Vector) {
 	masks := s.groupMasks()
 	s.invGroups = s.inv.AppendOnes(s.invGroups[:0])
 	for _, g := range s.invGroups {
 		if g < len(masks) {
-			s.phys.XorInto(masks[g])
+			v.XorInto(masks[g])
 		}
 	}
 }
 
-// Write implements scheme.Scheme, mirroring the discovery loop of base
-// Aegis: write, verify, accumulate revealed faults, grow the partition
-// vector on collisions, set inversion bits, rewrite.
-func (s *SAFER) Write(blk *pcm.Block, data *bitvec.Vector) error {
-	if data.Len() != s.n {
-		panic(fmt.Sprintf("safer: write of %d bits into %d-bit scheme", data.Len(), s.n))
+// Write implements scheme.Scheme: write, verify, grow the partition
+// vector around the revealed faults, rewrite.
+func (s *SAFER) Write(blk *pcm.Block, data *bitvec.Vector) error { return s.Run(s, blk, data) }
+
+// Plan implements scheme.Planner: separate the known faults by growing
+// the partition vector, then invert the group of every wrong fault.
+func (s *SAFER) Plan(faults []failcache.Fault, wrong []bool) string {
+	if !s.separateFaults(faults) {
+		return scheme.CauseVectorFull
 	}
-	s.ops.Requests++
-	s.faultPos = s.faultPos[:0]
-	s.faultVal = s.faultVal[:0]
-	for iter := 0; iter <= s.n; iter++ {
-		s.buildPhysical(data)
-		if s.inv.Any() {
-			s.ops.Inversions++
-			if s.tr != nil {
-				s.trace(scheme.TraceEvent{Kind: scheme.TraceInversion, Groups: s.inv.PopCount(), Faults: len(s.faultPos)})
-			}
-		}
-		blk.WriteRaw(s.phys)
-		s.ops.RawWrites++
-		blk.Verify(s.phys, s.errs)
-		s.ops.VerifyReads++
-		if !s.errs.Any() {
-			if iter > 0 {
-				s.ops.Salvages++
-				s.trace(scheme.TraceEvent{Kind: scheme.TraceSalvage, Passes: iter + 1, Faults: len(s.faultPos)})
-			}
-			return nil
-		}
-		grew := false
-		s.errPos = s.errs.AppendOnes(s.errPos[:0])
-		for _, p := range s.errPos {
-			if s.known(p) {
-				continue
-			}
-			s.faultPos = append(s.faultPos, p)
-			s.faultVal = append(s.faultVal, !s.phys.Get(p))
-			grew = true
-		}
-		if !grew {
-			s.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(s.faultPos), Cause: scheme.CauseStuckVerify})
-			return scheme.ErrUnrecoverable
-		}
-		if !s.separateKnownFaults() {
-			s.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(s.faultPos), Cause: scheme.CauseVectorFull})
-			return scheme.ErrUnrecoverable
-		}
-		s.inv.Zero()
-		for i, p := range s.faultPos {
-			if data.Get(p) != s.faultVal[i] {
-				s.inv.Set(s.group(p), true)
-			}
+	s.inv.Zero()
+	for i, f := range faults {
+		if wrong[i] {
+			s.inv.Set(s.group(f.Pos), true)
 		}
 	}
-	s.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(s.faultPos), Cause: scheme.CauseIterationLimit})
-	return scheme.ErrUnrecoverable
+	return ""
 }
 
-func (s *SAFER) known(p int) bool {
-	for _, q := range s.faultPos {
-		if q == p {
-			return true
-		}
+// Encode implements scheme.Planner.
+func (s *SAFER) Encode(data, phys *bitvec.Vector) bool {
+	phys.CopyFrom(data)
+	if !s.inv.Any() {
+		return false
 	}
-	return false
+	s.xorInverted(phys)
+	return true
 }
+
+// InvertedGroups implements scheme.Planner.
+func (s *SAFER) InvertedGroups() int { return s.inv.PopCount() }
 
 // Read implements scheme.Scheme.
 func (s *SAFER) Read(blk *pcm.Block, dst *bitvec.Vector) *bitvec.Vector {
 	dst = blk.Read(dst)
-	if !s.inv.Any() {
-		return dst
-	}
-	masks := s.groupMasks()
-	s.invGroups = s.inv.AppendOnes(s.invGroups[:0])
-	for _, g := range s.invGroups {
-		if g < len(masks) {
-			dst.XorInto(masks[g])
-		}
+	if s.inv.Any() {
+		s.xorInverted(dst)
 	}
 	return dst
 }
