@@ -185,6 +185,8 @@ func TestRWPComplementMode(t *testing.T) {
 	f := MustRWPFactory(512, 23, 2, failcache.Perfect{})
 	blk := pcm.NewImmortalBlock(512)
 	s := f.New().(*RWP)
+	var events []scheme.TraceEvent
+	s.SetTracer(tracerFunc(func(e scheme.TraceEvent) { events = append(events, e) }))
 	rng := xrand.New(17)
 	// 8 stuck-at-1 faults spread across >2 groups: all W for zero data.
 	for _, p := range rng.Perm(512)[:8] {
@@ -199,6 +201,17 @@ func TestRWPComplementMode(t *testing.T) {
 	}
 	if len(s.Pointers()) > 2 {
 		t.Fatalf("pointer budget exceeded: %v", s.Pointers())
+	}
+	// The inversion event counts the inverted groups: all but the ones
+	// the pointers leave plain.
+	var inversions []scheme.TraceEvent
+	for _, e := range events {
+		if e.Kind == scheme.TraceInversion {
+			inversions = append(inversions, e)
+		}
+	}
+	if want := 23 - len(s.Pointers()); len(inversions) != 1 || inversions[0].Groups != want {
+		t.Fatalf("inversion events %+v, want one with Groups %d", inversions, want)
 	}
 	if !s.Read(blk, nil).Equal(data) {
 		t.Fatal("read differs")
@@ -380,3 +393,8 @@ func BenchmarkRWWrite8Faults(b *testing.B) {
 		}
 	}
 }
+
+// tracerFunc adapts a function to scheme.Tracer.
+type tracerFunc func(scheme.TraceEvent)
+
+func (f tracerFunc) TraceEvent(e scheme.TraceEvent) { f(e) }
