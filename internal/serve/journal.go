@@ -120,10 +120,10 @@ type journal struct {
 	// the bound.
 	size     int64
 	maxBytes int64
-	// onCompact, when set, observes each compaction (bytes before and
-	// after, terminal jobs evicted) — the Server hangs metrics and a log
-	// record off it.
-	onCompact func(before, after int64, evicted int)
+	// onCompact, when set, observes each compaction attempt (bytes
+	// before and after, terminal jobs evicted, and the error of a failed
+	// one) — the Server hangs metrics and a log record off it.
+	onCompact func(before, after int64, evicted int, err error)
 }
 
 // openJournal opens (creating if absent) the journal at path for
@@ -168,10 +168,12 @@ func (j *journal) append(rec journalRecord, sync bool) error {
 		return fmt.Errorf("journal: closed")
 	}
 	if j.maxBytes > 0 && j.size > 0 && j.size+int64(len(line)) > j.maxBytes {
-		if err := j.compactLocked(); err != nil {
-			// A failed compaction must not lose the record: log path is
-			// the caller's; keep appending to the uncompacted file.
-			_ = err
+		// A failed compaction must not lose the record: it is reported
+		// and the append goes on to the uncompacted file.
+		before := j.size
+		evicted, err := j.compactLocked()
+		if j.onCompact != nil {
+			j.onCompact(before, j.size, evicted, err)
 		}
 	}
 	if _, err := j.w.Write(line); err != nil {
@@ -207,22 +209,23 @@ func (j *journal) Size() int64 {
 //
 // The rewrite goes through a temp file, fsync and rename, so a crash at
 // any point leaves either the old journal or the complete new one —
-// never a torn hybrid.  Callers hold j.mu.
-func (j *journal) compactLocked() error {
+// never a torn hybrid.  It returns the number of terminal jobs evicted.
+// Callers hold j.mu.
+func (j *journal) compactLocked() (evicted int, err error) {
 	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("journal: compact flush: %w", err)
+		return 0, fmt.Errorf("journal: compact flush: %w", err)
 	}
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("journal: compact seek: %w", err)
+		return 0, fmt.Errorf("journal: compact seek: %w", err)
 	}
 	rep, err := replayJournal(j.f)
 	if err != nil {
 		// Reposition for appends whatever happened.
 		j.f.Seek(0, io.SeekEnd) //nolint:errcheck
-		return fmt.Errorf("journal: compact replay: %w", err)
+		return 0, fmt.Errorf("journal: compact replay: %w", err)
 	}
 	if _, err := j.f.Seek(0, io.SeekEnd); err != nil {
-		return fmt.Errorf("journal: compact seek: %w", err)
+		return 0, fmt.Errorf("journal: compact seek: %w", err)
 	}
 
 	// Render each job's minimal record set.
@@ -236,7 +239,7 @@ func (j *journal) compactLocked() error {
 		var buf bytes.Buffer
 		sub, err := frameRecord(rj.Submitted)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		buf.Write(sub)
 		switch {
@@ -250,13 +253,13 @@ func (j *journal) compactLocked() error {
 				Result: rj.Result,
 			})
 			if err != nil {
-				return err
+				return 0, err
 			}
 			buf.Write(term)
 		case rj.State == StateRunning:
 			run, err := frameRecord(journalRecord{Type: recRunning, Time: rj.Submitted.Time, ID: rj.Submitted.ID})
 			if err != nil {
-				return err
+				return 0, err
 			}
 			buf.Write(run)
 		}
@@ -266,7 +269,6 @@ func (j *journal) compactLocked() error {
 
 	// Evict oldest terminal jobs while the live state alone overflows
 	// the bound.  In-flight jobs always survive.
-	evicted := 0
 	for i := 0; total > j.maxBytes && i < len(rendered); i++ {
 		if !rendered[i].terminal {
 			continue
@@ -278,45 +280,41 @@ func (j *journal) compactLocked() error {
 
 	tmp, err := os.CreateTemp(filepath.Dir(j.path), filepath.Base(j.path)+".compact*")
 	if err != nil {
-		return fmt.Errorf("journal: compact: %w", err)
+		return 0, fmt.Errorf("journal: compact: %w", err)
 	}
 	cleanup := func() { tmp.Close(); os.Remove(tmp.Name()) }
 	for _, jl := range rendered {
 		if _, err := tmp.Write(jl.lines); err != nil {
 			cleanup()
-			return fmt.Errorf("journal: compact write: %w", err)
+			return 0, fmt.Errorf("journal: compact write: %w", err)
 		}
 	}
 	if err := tmp.Sync(); err != nil {
 		cleanup()
-		return fmt.Errorf("journal: compact fsync: %w", err)
+		return 0, fmt.Errorf("journal: compact fsync: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		cleanup()
-		return fmt.Errorf("journal: compact close: %w", err)
+		return 0, fmt.Errorf("journal: compact close: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), j.path); err != nil {
 		os.Remove(tmp.Name()) //nolint:errcheck
-		return fmt.Errorf("journal: compact rename: %w", err)
+		return 0, fmt.Errorf("journal: compact rename: %w", err)
 	}
 	// Swap the open handle onto the new file.
 	nf, err := os.OpenFile(j.path, os.O_RDWR, 0o644)
 	if err != nil {
-		return fmt.Errorf("journal: compact reopen: %w", err)
+		return 0, fmt.Errorf("journal: compact reopen: %w", err)
 	}
 	if _, err := nf.Seek(0, io.SeekEnd); err != nil {
 		nf.Close()
-		return fmt.Errorf("journal: compact reopen seek: %w", err)
+		return 0, fmt.Errorf("journal: compact reopen seek: %w", err)
 	}
 	j.f.Close() //nolint:errcheck // old inode is unlinked; nothing left to lose
-	before := j.size
 	j.f = nf
 	j.w = bufio.NewWriter(nf)
 	j.size = total
-	if j.onCompact != nil {
-		j.onCompact(before, total, evicted)
-	}
-	return nil
+	return evicted, nil
 }
 
 // close flushes and closes the journal file.

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -45,7 +48,10 @@ func TestJournalCompactionBoundsSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	var compactions, evicted int
-	j.onCompact = func(before, after int64, ev int) {
+	j.onCompact = func(before, after int64, ev int, err error) {
+		if err != nil {
+			t.Errorf("compaction failed: %v", err)
+		}
 		if after > before {
 			t.Errorf("compaction grew the journal: %d -> %d bytes", before, after)
 		}
@@ -226,5 +232,71 @@ func TestJournalCompactionThenReopen(t *testing.T) {
 	}
 	if !found {
 		t.Error("job appended after reopen did not replay")
+	}
+}
+
+// TestJournalCompactionFailureReported: a compaction that cannot create
+// its temp file is logged as a warning naming the journal and the
+// error, and the records whose appends triggered it are still appended
+// and replay.
+func TestJournalCompactionFailureReported(t *testing.T) {
+	root := t.TempDir()
+	path := filepath.Join(root, "state", "journal")
+	var logs bytes.Buffer
+	s, err := New(Options{
+		JournalPath:     path,
+		JournalMaxBytes: 1024,
+		Logger:          slog.New(slog.NewJSONHandler(&logs, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Move the journal's directory away: the open handle still appends
+	// to the file, but the temp file compaction creates next to the
+	// journal path has no directory to go in.
+	moved := filepath.Join(root, "moved")
+	if err := os.Rename(filepath.Dir(path), moved); err != nil {
+		t.Fatal(err)
+	}
+	appendLifecycles(t, s.journal, 1, 4)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := replayJournalFile(filepath.Join(moved, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Jobs) != 4 {
+		t.Fatalf("replayed %d jobs, want all 4", len(rep.Jobs))
+	}
+	for _, rj := range rep.Jobs {
+		if rj.State != StateDone {
+			t.Errorf("job %s replayed as %q, want done", rj.Submitted.ID, rj.State)
+		}
+	}
+
+	warnings := 0
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		if line == "" {
+			continue
+		}
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if rec["msg"] != "journal compaction failed" {
+			continue
+		}
+		warnings++
+		if rec["level"] != "WARN" || rec["path"] != path {
+			t.Errorf("compaction failure record %v: want level WARN and path %s", rec, path)
+		}
+		if e, _ := rec["error"].(string); !strings.Contains(e, "journal: compact") {
+			t.Errorf("compaction failure record error %q does not name the compaction", e)
+		}
+	}
+	if warnings == 0 {
+		t.Fatalf("no compaction failure logged; log:\n%s", logs.String())
 	}
 }

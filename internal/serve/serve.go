@@ -222,7 +222,13 @@ func New(opts Options) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.journal.onCompact = func(before, after int64, evicted int) {
+		s.journal.onCompact = func(before, after int64, evicted int, err error) {
+			if err != nil {
+				s.log.Warn("journal compaction failed",
+					slog.String("path", opts.JournalPath),
+					slog.String("error", err.Error()))
+				return
+			}
 			s.metrics.m.Counter("aegis_journal_compactions_total",
 				"Journal compactions triggered by the -journal-max-bytes bound.").Inc()
 			if evicted > 0 {
