@@ -117,7 +117,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzEncodeRoundTrip -fuzztime=10s ./internal/ecc/
 	$(GO) test -fuzz=FuzzLayoutInvariants -fuzztime=10s ./internal/plane/
 	$(GO) test -fuzz=FuzzUnmarshalBits -fuzztime=10s ./internal/core/
-	$(GO) test -fuzz=FuzzWriteRead -fuzztime=10s ./internal/core/
+	$(GO) test -fuzz=FuzzWriteRead -fuzztime=10s ./internal/scheme/
 	$(GO) test -fuzz=FuzzBitvec -fuzztime=10s ./internal/bitvec/
 	$(GO) test -fuzz=FuzzXrandStream -fuzztime=10s ./internal/xrand/
 	$(GO) test -fuzz=FuzzMetadata -fuzztime=10s ./internal/aegisrw/

@@ -38,27 +38,3 @@ func FuzzUnmarshalBits(f *testing.F) {
 		}
 	})
 }
-
-// FuzzWriteRead drives the full write path with fuzz-chosen fault
-// patterns and data; any successful write must read back exactly.
-func FuzzWriteRead(f *testing.F) {
-	f.Add(uint16(3), uint64(0xdeadbeef), uint64(0x12345678))
-	f.Fuzz(func(t *testing.T, faultSeed uint16, dataLo, dataHi uint64) {
-		fac := MustFactory(256, 23)
-		ag := fac.New().(*Aegis)
-		blk := pcm.NewImmortalBlock(256)
-		// Derive up to 10 fault positions from the seed.
-		s := uint64(faultSeed) + 1
-		for i := 0; i < int(faultSeed%11); i++ {
-			s = s*6364136223846793005 + 1442695040888963407
-			blk.InjectFault(int(s>>33)%256, s&1 == 1)
-		}
-		data := bitvec.NewFromWords(256, []uint64{dataLo, dataHi, dataLo ^ dataHi, ^dataLo})
-		if err := ag.Write(blk, data); err != nil {
-			return // unrecoverable fault pattern: acceptable
-		}
-		if !ag.Read(blk, nil).Equal(data) {
-			t.Fatal("read differs after successful write")
-		}
-	})
-}
