@@ -42,23 +42,16 @@ func (c *Counter) Load() int64 { return c.v.Load() }
 // SchemeCounters aggregates one scheme configuration's operation counts
 // across every simulated block and page of a run.
 type SchemeCounters struct {
-	// Writes is the number of logical write requests served.
-	Writes Counter
-	// RawWrites is the number of physical block writes issued,
-	// inversion rewrites included.
-	RawWrites Counter
-	// VerifyReads is the number of verification re-reads performed.
-	VerifyReads Counter
-	// Inversions is the number of physical writes issued with at least
-	// one group (or cell region) stored inverted.
-	Inversions Counter
-	// Repartitions is the number of partition-configuration changes
-	// (slope increments, partition-vector growth, field re-selection).
+	// Writes (scheme.OpStats.Requests), RawWrites, VerifyReads,
+	// Inversions, Repartitions and Salvages sum the scheme.OpStats
+	// counters of every simulated block; the OpStats field comments
+	// define them.
+	Writes       Counter
+	RawWrites    Counter
+	VerifyReads  Counter
+	Inversions   Counter
 	Repartitions Counter
-	// Salvages is the number of write requests that succeeded only
-	// after at least one failed verification pass — requests the scheme
-	// actively recovered.
-	Salvages Counter
+	Salvages     Counter
 	// BitWrites is the number of cell programming pulses the simulated
 	// blocks absorbed, inversion rewrites included — the raw wear the
 	// substrate saw, one level below RawWrites.

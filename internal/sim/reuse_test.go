@@ -179,7 +179,7 @@ func checkResetEquivalence(t *testing.T, mk func() scheme.Factory, seed int64) {
 	fresh := facA.New()
 
 	// Arm B: dirty one instance the same way, then Reset and measure
-	// that same instance (renew hook also yields block ID 1).
+	// that same instance (Reset draws a fresh view: block ID 1 too).
 	reused := facB.New()
 	dirtyScheme(reused, n, seed)
 	r, ok := reused.(scheme.Resettable)
