@@ -10,6 +10,7 @@ import (
 	"hash"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"aegis/internal/aegisrw"
@@ -64,6 +65,9 @@ type pinTrial struct {
 	Events int            `json:"events"`
 	SHA256 string         `json:"sha256"`
 	Ops    scheme.OpStats `json:"ops"`
+	// Meta is the hex of the block's metadata after the trial's last
+	// successful write, for schemes with a metadata codec.
+	Meta string `json:"meta,omitempty"`
 }
 
 // hashTracer folds every event into a running SHA-256.
@@ -101,6 +105,8 @@ func runPinTrial(t *testing.T, s scheme.Scheme, mode string, seed int64) pinTria
 		blk = pcm.NewBlock(n, dist.Normal{MeanLife: 60, CoV: 0.25}, rng)
 	}
 	data := bitvec.New(n)
+	codec, _ := s.(scheme.MetadataCodec)
+	meta := ""
 	writes := 0
 	for ; writes < pinMaxWrites; writes++ {
 		if mode == "inject" {
@@ -128,6 +134,9 @@ func runPinTrial(t *testing.T, s scheme.Scheme, mode string, seed int64) pinTria
 		if !s.Read(blk, nil).Equal(data) {
 			t.Fatalf("%s write %d reads back differently", mode, writes)
 		}
+		if codec != nil {
+			meta = metaHex(codec.MarshalBits())
+		}
 	}
 	if writes == pinMaxWrites {
 		t.Fatalf("%s block survived %d writes", mode, pinMaxWrites)
@@ -138,12 +147,23 @@ func runPinTrial(t *testing.T, s scheme.Scheme, mode string, seed int64) pinTria
 		Events: tr.n,
 		SHA256: hex.EncodeToString(tr.h.Sum(nil)),
 		Ops:    s.(scheme.OpReporter).OpStats(),
+		Meta:   meta,
 	}
 }
 
+// metaHex renders a metadata vector as its words in hex, low word first.
+func metaHex(v *bitvec.Vector) string {
+	var b strings.Builder
+	for _, w := range v.Words() {
+		fmt.Fprintf(&b, "%016x", w)
+	}
+	return b.String()
+}
+
 // TestWritePins writes blocks to death at fixed seeds under every looped
-// scheme and compares each trial's decision-event digest, lifetime and
-// final operation counters against testdata/write_pins.json.  One
+// scheme and compares each trial's decision-event digest, lifetime,
+// final operation counters and last metadata encoding against
+// testdata/write_pins.json.  One
 // instance serves all trials of a case through Reset, so the pins also
 // cover instance reuse and, for the fail-cache family, view renewal.
 func TestWritePins(t *testing.T) {
