@@ -8,6 +8,7 @@ import (
 	"aegis/internal/bitvec"
 	"aegis/internal/failcache"
 	"aegis/internal/pcm"
+	"aegis/internal/scheme"
 )
 
 func TestRWCodecBudgetAndRoundTrip(t *testing.T) {
@@ -133,6 +134,17 @@ func TestRWPCodecRejects(t *testing.T) {
 	good.Flip(good.Len() - 1)
 	if err := s.UnmarshalBits(good); err == nil {
 		t.Fatal("inconsistent full flag accepted")
+	}
+	// A repeated pointer would cancel its own group in the XOR mask.
+	dup := scheme.NewBitWriter(s.OverheadBits())
+	dup.WriteUint(0, 5)
+	for _, p := range []int{3, 3, 23} {
+		dup.WriteUint(uint64(p), 5)
+	}
+	dup.WriteBool(false)
+	dup.WriteBool(false)
+	if err := s.UnmarshalBits(dup.Finish()); err == nil {
+		t.Fatal("duplicate pointer accepted")
 	}
 }
 

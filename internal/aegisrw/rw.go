@@ -21,70 +21,45 @@ import (
 	"sync/atomic"
 
 	"aegis/internal/bitvec"
+	"aegis/internal/core"
 	"aegis/internal/failcache"
 	"aegis/internal/pcm"
 	"aegis/internal/plane"
 	"aegis/internal/scheme"
 )
 
-// RW is the per-block state of Aegis-rw.  The embedded scheme.Loop
-// drives the write path; RW supplies the W/R-separating slope decision.
+// RW is the per-block state of Aegis-rw.  It shares base Aegis's
+// partition state (core.Partition: slope counter, inversion vector,
+// write loop and codec) and supplies the W/R-separating slope search.
 type RW struct {
-	scheme.Loop
-	layout *plane.Layout
-	slope  int
-	inv    *bitvec.Vector
-
+	core.Partition
 	excluded []bool
 }
 
 var (
-	_ scheme.Scheme  = (*RW)(nil)
-	_ scheme.Planner = (*RW)(nil)
+	_ scheme.Scheme        = (*RW)(nil)
+	_ scheme.Planner       = (*RW)(nil)
+	_ scheme.MetadataCodec = (*RW)(nil)
 )
 
 // NewRW returns a fresh Aegis-rw instance for one block laid out by l,
 // consulting the given fail-cache view.
 func NewRW(l *plane.Layout, view failcache.View) *RW {
-	return &RW{
-		Loop:     scheme.NewLoop(l.N, view),
-		layout:   l,
-		inv:      bitvec.New(l.B),
-		excluded: make([]bool, l.B),
-	}
+	return &RW{Partition: core.NewPartition(l, view), excluded: make([]bool, l.B)}
 }
 
 // Name implements scheme.Scheme.
-func (a *RW) Name() string { return "Aegis-rw " + a.layout.String() }
+func (a *RW) Name() string { return "Aegis-rw " + a.Layout().String() }
 
-// OverheadBits implements scheme.Scheme.  Aegis-rw with the same A×B
-// formation costs the same as base Aegis (§2.4): slope counter plus
-// inversion vector.  The fail cache is shared chip-level SRAM and is not
-// part of the per-block budget, exactly as the paper accounts it.
-func (a *RW) OverheadBits() int { return a.layout.OverheadBits() }
-
-// Slope returns the current slope counter value.
-func (a *RW) Slope() int { return a.slope }
-
-// Reset implements scheme.Resettable.  An instance a factory built also
-// acquires a fresh fail-cache view, so a finite cache sees a new block
-// ID exactly as it would for a freshly constructed instance.
-func (a *RW) Reset() {
-	a.Loop.Reset()
-	a.slope = 0
-	a.inv.Zero()
-}
-
-// findSlope returns a slope under which no group mixes W and R faults,
-// searching from the current slope, or ok=false.  wrong[i] is the W/R
-// classification of faults[i] for the data being written.
-func (a *RW) findSlope(faults []failcache.Fault, wrong []bool) (int, bool) {
-	for i := range a.excluded {
-		a.excluded[i] = false
+// excludeMixed marks in excluded every slope under which a W fault
+// shares a group with an R fault, and clears the others.  wrong[i] is
+// the W/R classification of faults[i] for the data being written.  Only
+// W–R pairs exclude a slope, and each pair excludes exactly one
+// (Theorem 2) — or none, when the pair shares a rectangle column.
+func excludeMixed(l *plane.Layout, excluded []bool, faults []failcache.Fault, wrong []bool) {
+	for i := range excluded {
+		excluded[i] = false
 	}
-	// Only W–R pairs exclude a slope, and each pair excludes exactly
-	// one (Theorem 2) — or none, when the pair shares a rectangle
-	// column.
 	for i := range faults {
 		if !wrong[i] {
 			continue
@@ -93,13 +68,20 @@ func (a *RW) findSlope(faults []failcache.Fault, wrong []bool) (int, bool) {
 			if wrong[j] {
 				continue
 			}
-			if k, ok := a.layout.CollidingSlope(faults[i].Pos, faults[j].Pos); ok {
-				a.excluded[k] = true
+			if k, ok := l.CollidingSlope(faults[i].Pos, faults[j].Pos); ok {
+				excluded[k] = true
 			}
 		}
 	}
-	for d := 0; d < a.layout.B; d++ {
-		k := (a.slope + d) % a.layout.B
+}
+
+// findSlope returns a slope under which no group mixes W and R faults,
+// searching from the current slope, or ok=false.
+func (a *RW) findSlope(faults []failcache.Fault, wrong []bool) (int, bool) {
+	l := a.Layout()
+	excludeMixed(l, a.excluded, faults, wrong)
+	for d := 0; d < l.B; d++ {
+		k := (a.Slope() + d) % l.B
 		if !a.excluded[k] {
 			return k, true
 		}
@@ -120,34 +102,8 @@ func (a *RW) Plan(faults []failcache.Fault, wrong []bool) string {
 	if !ok {
 		return scheme.CauseNoSlope
 	}
-	if k != a.slope {
-		a.Repartition(a.slope, k, len(faults))
-		a.slope = k
-	}
-	a.inv.Zero()
-	for i, f := range faults {
-		if wrong[i] {
-			a.inv.Set(a.layout.Group(f.Pos, k), true)
-		}
-	}
+	a.Adopt(k, faults, wrong)
 	return ""
-}
-
-// Encode implements scheme.Planner.
-func (a *RW) Encode(data, phys *bitvec.Vector) bool {
-	phys.CopyFrom(data)
-	a.layout.XorGroups(phys, a.inv, a.slope)
-	return a.inv.Any()
-}
-
-// InvertedGroups implements scheme.Planner.
-func (a *RW) InvertedGroups() int { return a.inv.PopCount() }
-
-// Read implements scheme.Scheme.
-func (a *RW) Read(blk *pcm.Block, dst *bitvec.Vector) *bitvec.Vector {
-	dst = blk.Read(dst)
-	a.layout.XorGroups(dst, a.inv, a.slope)
-	return dst
 }
 
 // Recoverable reports whether a fault classification (positions plus W/R

@@ -2,9 +2,11 @@ package aegisrw
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"aegis/internal/bitvec"
+	"aegis/internal/core"
 	"aegis/internal/failcache"
 	"aegis/internal/pcm"
 	"aegis/internal/plane"
@@ -38,8 +40,9 @@ type RWP struct {
 }
 
 var (
-	_ scheme.Scheme  = (*RWP)(nil)
-	_ scheme.Planner = (*RWP)(nil)
+	_ scheme.Scheme        = (*RWP)(nil)
+	_ scheme.Planner       = (*RWP)(nil)
+	_ scheme.MetadataCodec = (*RWP)(nil)
 )
 
 // NewRWP returns a fresh Aegis-rw-p instance with a budget of p group
@@ -64,9 +67,10 @@ func (a *RWP) Name() string { return fmt.Sprintf("Aegis-rw-p %s p=%d", a.layout,
 // OverheadBits implements scheme.Scheme: a slope counter, p group
 // pointers of ⌈log₂B⌉ bits, one mode bit (whole-block inversion) and one
 // bit flagging whether all pointers are in use.
-func (a *RWP) OverheadBits() int {
-	return plane.CeilLog2(a.layout.B) + a.p*plane.CeilLog2(a.layout.B) + 2
-}
+func (a *RWP) OverheadBits() int { return a.codec().Bits() }
+
+// codec is the §2.4 metadata layout OverheadBits describes.
+func (a *RWP) codec() core.PointerCodec { return core.PointerCodec{L: a.layout, P: a.p, Mode: true} }
 
 // Pointers returns the currently recorded group pointers (for tests).
 func (a *RWP) Pointers() []int { return append([]int(nil), a.pointers...) }
@@ -93,22 +97,7 @@ func (a *RWP) Reset() {
 // holding W faults number ≤ P, or the groups holding R faults number
 // ≤ P.  It returns the slope, the pointer list and the mode.
 func (a *RWP) planSlope(faults []failcache.Fault, wrong []bool) (k int, pointers []int, complement, ok bool) {
-	for i := range a.excluded {
-		a.excluded[i] = false
-	}
-	for i := range faults {
-		if !wrong[i] {
-			continue
-		}
-		for j := range faults {
-			if wrong[j] {
-				continue
-			}
-			if s, collides := a.layout.CollidingSlope(faults[i].Pos, faults[j].Pos); collides {
-				a.excluded[s] = true
-			}
-		}
-	}
+	excludeMixed(a.layout, a.excluded, faults, wrong)
 	for d := 0; d < a.layout.B; d++ {
 		k = (a.slope + d) % a.layout.B
 		if a.excluded[k] {
@@ -119,10 +108,10 @@ func (a *RWP) planSlope(faults []failcache.Fault, wrong []bool) (k int, pointers
 		for i, f := range faults {
 			g := a.layout.Group(f.Pos, k)
 			if wrong[i] {
-				if !containsInt(wGroups, g) {
+				if !slices.Contains(wGroups, g) {
 					wGroups = append(wGroups, g)
 				}
-			} else if !containsInt(rGroups, g) {
+			} else if !slices.Contains(rGroups, g) {
 				rGroups = append(rGroups, g)
 			}
 		}
@@ -135,15 +124,6 @@ func (a *RWP) planSlope(faults []failcache.Fault, wrong []bool) (k int, pointers
 		}
 	}
 	return 0, nil, false, false
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // invertedMask builds, into the shared scratch buffer, the block mask of
@@ -201,6 +181,23 @@ func (a *RWP) Read(blk *pcm.Block, dst *bitvec.Vector) *bitvec.Vector {
 	return dst
 }
 
+// MarshalBits implements scheme.MetadataCodec.
+func (a *RWP) MarshalBits() *bitvec.Vector {
+	return a.codec().Marshal(a.slope, a.pointers, a.complement)
+}
+
+// UnmarshalBits implements scheme.MetadataCodec.
+func (a *RWP) UnmarshalBits(v *bitvec.Vector) error {
+	slope, pointers, complement, err := a.codec().Unmarshal(v)
+	if err != nil {
+		return err
+	}
+	a.slope = slope
+	a.pointers = append(a.pointers[:0], pointers...)
+	a.complement = complement
+	return nil
+}
+
 // RWPFactory builds Aegis-rw-p instances.
 type RWPFactory struct {
 	L     *plane.Layout
@@ -240,7 +237,7 @@ func (f *RWPFactory) BlockBits() int { return f.L.N }
 
 // OverheadBits implements scheme.Factory.
 func (f *RWPFactory) OverheadBits() int {
-	return plane.CeilLog2(f.L.B) + f.P*plane.CeilLog2(f.L.B) + 2
+	return core.PointerCodec{L: f.L, P: f.P, Mode: true}.Bits()
 }
 
 // New implements scheme.Factory.

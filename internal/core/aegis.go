@@ -11,10 +11,10 @@
 // the slope) whenever two known faults collide in a group, set the
 // inversion bits so each faulty cell's physical value equals its stuck
 // value, rewrite, and repeat until a verification read comes back clean.
-// scheme.Loop runs that protocol; this package supplies the slope and
-// inversion decision.  Every rewrite goes through the PCM model, so the extra inversion-write
-// wear the paper discusses (Figure 8's "intensive inversion writes") is
-// accounted for.
+// scheme.Loop runs that protocol and Partition holds the state; Aegis
+// supplies the slope search.  Every rewrite goes through the PCM model,
+// so the extra inversion-write wear the paper discusses (Figure 8's
+// "intensive inversion writes") is accounted for.
 package core
 
 import (
@@ -26,49 +26,24 @@ import (
 )
 
 // Aegis is the per-block state of the base (cache-less) Aegis scheme.
-// The embedded scheme.Loop drives the write path; Aegis supplies the
-// partition decision.
+// The embedded Partition holds the slope, the inversion vector and the
+// write loop; Aegis supplies the collision-free slope search.
 type Aegis struct {
-	scheme.Loop
-	layout *plane.Layout
-	slope  int
-	inv    *bitvec.Vector // inversion vector: bit y set ⇔ group y stored inverted
-	pos    []int          // known fault positions, scratch for Plan
+	Partition
+	pos []int // known fault positions, scratch for Plan
 }
 
 var (
-	_ scheme.Scheme  = (*Aegis)(nil)
-	_ scheme.Planner = (*Aegis)(nil)
+	_ scheme.Scheme        = (*Aegis)(nil)
+	_ scheme.Planner       = (*Aegis)(nil)
+	_ scheme.MetadataCodec = (*Aegis)(nil)
 )
 
 // New returns a fresh Aegis instance for one block laid out by l.
-func New(l *plane.Layout) *Aegis {
-	return &Aegis{Loop: scheme.NewLoop(l.N, nil), layout: l, inv: bitvec.New(l.B)}
-}
-
-// Layout returns the partition layout the instance uses.
-func (a *Aegis) Layout() *plane.Layout { return a.layout }
+func New(l *plane.Layout) *Aegis { return &Aegis{Partition: NewPartition(l, nil)} }
 
 // Name implements scheme.Scheme.
 func (a *Aegis) Name() string { return "Aegis " + a.layout.String() }
-
-// OverheadBits implements scheme.Scheme: ⌈log₂B⌉ + B (§2.3).
-func (a *Aegis) OverheadBits() int { return a.layout.OverheadBits() }
-
-// Slope returns the current slope-counter value (exported for tests and
-// the partition visualizer).
-func (a *Aegis) Slope() int { return a.slope }
-
-// InversionVector returns a copy of the current inversion vector.
-func (a *Aegis) InversionVector() *bitvec.Vector { return a.inv.Clone() }
-
-// Reset implements scheme.Resettable: slope 0, empty inversion vector,
-// zeroed counters, no tracer — the state New returns.
-func (a *Aegis) Reset() {
-	a.Loop.Reset()
-	a.slope = 0
-	a.inv.Zero()
-}
 
 // Write implements scheme.Scheme.  The controller has no persistent
 // fault memory (that is the whole point of the cache-less design): each
@@ -78,10 +53,7 @@ func (a *Aegis) Write(blk *pcm.Block, data *bitvec.Vector) error { return a.Run(
 // Plan implements scheme.Planner.  It re-partitions when two known
 // faults share a group — FindCollisionFree starts at the current slope,
 // so a configuration that already separates them stays, matching the
-// paper's "increment the slope counter" otherwise — and inverts the
-// group of every wrong fault, so each faulty cell's physical value
-// equals its stuck value.  Groups without a known fault are stored
-// plain.
+// paper's "increment the slope counter" otherwise.
 func (a *Aegis) Plan(faults []failcache.Fault, wrong []bool) string {
 	a.pos = a.pos[:0]
 	for _, f := range faults {
@@ -91,36 +63,8 @@ func (a *Aegis) Plan(faults []failcache.Fault, wrong []bool) string {
 	if !ok {
 		return scheme.CauseNoSlope
 	}
-	if k != a.slope {
-		a.Repartition(a.slope, k, len(faults))
-		a.slope = k
-	}
-	a.inv.Zero()
-	for i, f := range faults {
-		if wrong[i] {
-			a.inv.Set(a.layout.Group(f.Pos, k), true)
-		}
-	}
+	a.Adopt(k, faults, wrong)
 	return ""
-}
-
-// Encode implements scheme.Planner: data with the inverted groups
-// flipped under the current slope.
-func (a *Aegis) Encode(data, phys *bitvec.Vector) bool {
-	phys.CopyFrom(data)
-	a.layout.XorGroups(phys, a.inv, a.slope)
-	return a.inv.Any()
-}
-
-// InvertedGroups implements scheme.Planner.
-func (a *Aegis) InvertedGroups() int { return a.inv.PopCount() }
-
-// Read implements scheme.Scheme: logical data is the physical contents
-// with the inverted groups flipped back.
-func (a *Aegis) Read(blk *pcm.Block, dst *bitvec.Vector) *bitvec.Vector {
-	dst = blk.Read(dst)
-	a.layout.XorGroups(dst, a.inv, a.slope)
-	return dst
 }
 
 // Recoverable reports whether a fault set (bit positions) is tolerable by

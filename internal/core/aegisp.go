@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"aegis/internal/bitvec"
 	"aegis/internal/pcm"
@@ -28,122 +29,75 @@ import (
 // trade the paper's sentence implies and the `ablation-aegisp`
 // experiment quantifies.
 type AegisP struct {
-	inner *Aegis
-	q     int
+	*Aegis
+	q int
 }
 
-var _ scheme.Scheme = (*AegisP)(nil)
+var (
+	_ scheme.Scheme        = (*AegisP)(nil)
+	_ scheme.MetadataCodec = (*AegisP)(nil)
+)
 
 // NewP returns a fresh Aegis-p instance with q inversion pointers.
 func NewP(l *plane.Layout, q int) (*AegisP, error) {
 	if q < 0 {
 		return nil, fmt.Errorf("core: negative pointer budget %d", q)
 	}
-	return &AegisP{inner: New(l), q: q}, nil
+	return &AegisP{Aegis: New(l), q: q}, nil
 }
 
 // Name implements scheme.Scheme.
-func (a *AegisP) Name() string { return fmt.Sprintf("Aegis-p %s q=%d", a.inner.layout, a.q) }
+func (a *AegisP) Name() string { return fmt.Sprintf("Aegis-p %s q=%d", a.layout, a.q) }
 
 // OverheadBits implements scheme.Scheme: slope counter, q group pointers
 // and one all-pointers-used bit.
-func (a *AegisP) OverheadBits() int {
-	return plane.CeilLog2(a.inner.layout.B)*(1+a.q) + 1
-}
+func (a *AegisP) OverheadBits() int { return a.codec().Bits() }
+
+// codec is the metadata layout OverheadBits describes.
+func (a *AegisP) codec() PointerCodec { return PointerCodec{L: a.layout, P: a.q} }
 
 // Pointers returns the IDs of the currently inverted groups.
-func (a *AegisP) Pointers() []int { return a.inner.inv.OnesIndices() }
-
-// Slope returns the current slope counter value.
-func (a *AegisP) Slope() int { return a.inner.Slope() }
+func (a *AegisP) Pointers() []int { return a.inv.OnesIndices() }
 
 // Write implements scheme.Scheme: the base Aegis write path with the
 // additional constraint that at most q groups may end up inverted.
 func (a *AegisP) Write(blk *pcm.Block, data *bitvec.Vector) error {
-	if err := a.inner.Write(blk, data); err != nil {
+	if err := a.Aegis.Write(blk, data); err != nil {
 		return err
 	}
-	if a.inner.inv.PopCount() > a.q {
+	if a.inv.PopCount() > a.q {
 		// More inverted groups than pointers can record.  No other
 		// slope helps: in any collision-free configuration each wrong
 		// fault occupies its own group, so the inverted-group count is
 		// the W-fault count of this data.
-		return a.inner.Die(scheme.CausePointerBudget)
+		return a.Die(scheme.CausePointerBudget)
 	}
 	return nil
 }
 
-// SetTracer implements scheme.Traceable.
-func (a *AegisP) SetTracer(t scheme.Tracer) { a.inner.SetTracer(t) }
-
-// Reset implements scheme.Resettable.
-func (a *AegisP) Reset() { a.inner.Reset() }
-
-// Read implements scheme.Scheme.
-func (a *AegisP) Read(blk *pcm.Block, dst *bitvec.Vector) *bitvec.Vector {
-	return a.inner.Read(blk, dst)
-}
-
-// OpStats implements scheme.OpReporter.
-func (a *AegisP) OpStats() scheme.OpStats { return a.inner.OpStats() }
-
-// MarshalBits implements scheme.MetadataCodec: slope counter, q group
-// pointers (B as the unused sentinel — B is prime, never a power of two,
-// so the sentinel always fits), and the all-pointers-used bit.
+// MarshalBits implements scheme.MetadataCodec: the inverted groups in
+// ascending order as the pointers.
 func (a *AegisP) MarshalBits() *bitvec.Vector {
-	w := scheme.NewBitWriter(a.OverheadBits())
-	width := plane.CeilLog2(a.inner.layout.B)
-	w.WriteUint(uint64(a.inner.slope), width)
-	ptrs := a.Pointers()
-	for i := 0; i < a.q; i++ {
-		if i < len(ptrs) {
-			w.WriteUint(uint64(ptrs[i]), width)
-		} else {
-			w.WriteUint(uint64(a.inner.layout.B), width)
-		}
-	}
-	w.WriteBool(len(ptrs) == a.q)
-	return w.Finish()
+	return a.codec().Marshal(a.slope, a.Pointers(), false)
 }
 
-// UnmarshalBits implements scheme.MetadataCodec.
+// UnmarshalBits implements scheme.MetadataCodec.  The inverted groups
+// are a set, so pointers must ascend.
 func (a *AegisP) UnmarshalBits(v *bitvec.Vector) error {
-	r, err := scheme.NewBitReader(v, a.OverheadBits())
+	slope, ptrs, _, err := a.codec().Unmarshal(v)
 	if err != nil {
 		return err
 	}
-	width := plane.CeilLog2(a.inner.layout.B)
-	slope := int(r.ReadUint(width))
-	if slope >= a.inner.layout.B {
-		return fmt.Errorf("core: decoded slope %d out of range [0,%d)", slope, a.inner.layout.B)
+	if !slices.IsSorted(ptrs) {
+		return fmt.Errorf("core: pointers %v not ascending", ptrs)
 	}
-	inv := bitvec.New(a.inner.layout.B)
-	seenSentinel := false
-	count := 0
-	for i := 0; i < a.q; i++ {
-		g := int(r.ReadUint(width))
-		switch {
-		case g == a.inner.layout.B:
-			seenSentinel = true
-		case g > a.inner.layout.B:
-			return fmt.Errorf("core: decoded pointer %d out of range", g)
-		case seenSentinel:
-			return fmt.Errorf("core: pointer after unused sentinel")
-		default:
-			inv.Set(g, true)
-			count++
-		}
+	a.slope = slope
+	a.inv.Zero()
+	for _, g := range ptrs {
+		a.inv.Set(g, true)
 	}
-	full := r.ReadBool()
-	if full != (count == a.q) {
-		return fmt.Errorf("core: all-pointers-used flag inconsistent with %d/%d pointers", count, a.q)
-	}
-	a.inner.slope = slope
-	a.inner.inv.CopyFrom(inv)
 	return nil
 }
-
-var _ scheme.MetadataCodec = (*AegisP)(nil)
 
 // PFactory builds Aegis-p instances.
 type PFactory struct {
@@ -180,7 +134,7 @@ func (f *PFactory) Name() string { return fmt.Sprintf("Aegis-p %s q=%d", f.L, f.
 func (f *PFactory) BlockBits() int { return f.L.N }
 
 // OverheadBits implements scheme.Factory.
-func (f *PFactory) OverheadBits() int { return plane.CeilLog2(f.L.B)*(1+f.Q) + 1 }
+func (f *PFactory) OverheadBits() int { return PointerCodec{L: f.L, P: f.Q}.Bits() }
 
 // New implements scheme.Factory.
 func (f *PFactory) New() scheme.Scheme {

@@ -145,6 +145,41 @@ func TestAegisPCodecRejects(t *testing.T) {
 	}
 }
 
+// pMeta builds Aegis-p metadata for B=23, q=2: the 5-bit slope, two
+// 5-bit pointers and the all-pointers-used bit.
+func pMeta(slope int, ptrs ...int) *bitvec.Vector {
+	w := scheme.NewBitWriter(16)
+	w.WriteUint(uint64(slope), 5)
+	for i := 0; i < 2; i++ {
+		p := 23 // unused sentinel
+		if i < len(ptrs) {
+			p = ptrs[i]
+		}
+		w.WriteUint(uint64(p), 5)
+	}
+	w.WriteBool(len(ptrs) == 2)
+	return w.Finish()
+}
+
+// TestAegisPCodecRejectsNonCanonical feeds pointer lists no write
+// produces: the inverted groups are a set, recorded in ascending order.
+func TestAegisPCodecRejectsNonCanonical(t *testing.T) {
+	s := MustPFactory(512, 23, 2).New().(*AegisP)
+	for _, ptrs := range [][]int{{3, 3}, {5, 3}} {
+		if err := s.UnmarshalBits(pMeta(1, ptrs...)); err == nil {
+			t.Errorf("pointer list %v accepted", ptrs)
+		}
+	}
+	for _, ptrs := range [][]int{{}, {3}, {3, 5}} {
+		v := pMeta(1, ptrs...)
+		if err := s.UnmarshalBits(v); err != nil {
+			t.Errorf("pointer list %v rejected: %v", ptrs, err)
+		} else if !s.MarshalBits().Equal(v) {
+			t.Errorf("pointer list %v does not re-encode", ptrs)
+		}
+	}
+}
+
 func TestNewPValidation(t *testing.T) {
 	if _, err := NewPFactory(512, 23, -1); err == nil {
 		t.Fatal("negative q accepted")
