@@ -2,6 +2,7 @@ package safer
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"aegis/internal/bitvec"
@@ -22,81 +23,27 @@ import (
 // cells must not share a group.  Both relaxations are what let
 // "SAFERN-cache" tolerate far more faults in the paper's Figure 8.
 type Cached struct {
-	scheme.Loop
-	n        int
-	addrBits int
-	m        int
-
-	fields     []int
-	inv        *bitvec.Vector
-	masks      []*bitvec.Vector // allocated once, refilled per field change
-	masksBuilt bool             // false until masks match the current fields
-
-	subset    []int
-	invGroups []int
+	partition
+	subset []int
 }
 
 var (
-	_ scheme.Scheme  = (*Cached)(nil)
-	_ scheme.Planner = (*Cached)(nil)
+	_ scheme.Scheme        = (*Cached)(nil)
+	_ scheme.Planner       = (*Cached)(nil)
+	_ scheme.MetadataCodec = (*Cached)(nil)
 )
 
 // NewCached returns a fresh SAFERN-cache instance.
 func NewCached(n, nGroups int, view failcache.View) (*Cached, error) {
-	if n <= 0 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("safer: block size %d is not a power of two", n)
+	p, err := newPartition(n, nGroups, view)
+	if err != nil {
+		return nil, err
 	}
-	if nGroups <= 0 || nGroups&(nGroups-1) != 0 || nGroups > n {
-		return nil, fmt.Errorf("safer: group count %d invalid for %d-bit block", nGroups, n)
-	}
-	c := &Cached{
-		Loop:     scheme.NewLoop(n, view),
-		n:        n,
-		addrBits: log2(n),
-		m:        log2(nGroups),
-		inv:      bitvec.New(nGroups),
-	}
-	if c.m > c.addrBits {
-		c.m = c.addrBits
-	}
-	return c, nil
+	return &Cached{partition: p}, nil
 }
 
 // Name implements scheme.Scheme.
 func (c *Cached) Name() string { return fmt.Sprintf("SAFER%d-cache", 1<<c.m) }
-
-// OverheadBits implements scheme.Scheme; per-block cost is identical to
-// the cache-less SAFER-N — the fail cache is shared chip-level SRAM, as
-// the paper accounts it.
-func (c *Cached) OverheadBits() int { return OverheadBits(c.n, 1<<c.m) }
-
-// Reset implements scheme.Resettable.  An instance a factory built also
-// acquires a fresh fail-cache view, so a finite cache sees a new block
-// ID exactly as it would for a freshly constructed instance.
-func (c *Cached) Reset() {
-	c.Loop.Reset()
-	c.fields = c.fields[:0]
-	c.inv.Zero()
-	c.masksBuilt = false
-}
-
-// fieldsFingerprint compresses a position set into a bitmask, the
-// From/To form repartition events report for field re-selections.
-func fieldsFingerprint(fields []int) int {
-	fp := 0
-	for _, pos := range fields {
-		fp |= 1 << uint(pos)
-	}
-	return fp
-}
-
-func (c *Cached) group(x int, fields []int) int {
-	g := 0
-	for i, pos := range fields {
-		g |= ((x >> uint(pos)) & 1) << uint(i)
-	}
-	return g
-}
 
 // selectFields enumerates all m-subsets of the address bits and returns
 // the first one under which no group holds both a stuck-at-Wrong and a
@@ -117,7 +64,7 @@ func (c *Cached) selectFields(faults []failcache.Fault, wrong []bool) ([]int, bo
 		subset[i] = i
 	}
 	for {
-		if c.fieldsValid(subset, faults, wrong) {
+		if separatesWR(faults, wrong, fieldMask(subset)) {
 			return subset, true
 		}
 		// Advance to the next m-subset of {0,…,addrBits-1}.
@@ -135,49 +82,21 @@ func (c *Cached) selectFields(faults []failcache.Fault, wrong []bool) ([]int, bo
 	}
 }
 
-// fieldsValid reports whether the position set separates W from R faults.
-func (c *Cached) fieldsValid(fields []int, faults []failcache.Fault, wrong []bool) bool {
+// separatesWR reports whether no W fault's address agrees with an R
+// fault's under mask, that is, whether the selected positions separate
+// W from R faults.
+func separatesWR(faults []failcache.Fault, wrong []bool, mask int) bool {
 	for i := range faults {
 		if !wrong[i] {
 			continue
 		}
 		for j := range faults {
-			if wrong[j] {
-				continue
-			}
-			if c.group(faults[i].Pos, fields) == c.group(faults[j].Pos, fields) {
+			if !wrong[j] && (faults[i].Pos^faults[j].Pos)&mask == 0 {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-func (c *Cached) rebuildMasks() {
-	if c.masks == nil {
-		c.masks = make([]*bitvec.Vector, 1<<uint(c.m))
-		for g := range c.masks {
-			c.masks[g] = bitvec.New(c.n)
-		}
-	}
-	// Fewer selected fields than the budget leave the tail groups empty.
-	populated := 1 << uint(len(c.fields))
-	buildGroupMasks(c.masks[:populated], c.fields, c.n)
-	for _, m := range c.masks[populated:] {
-		m.Zero()
-	}
-	c.masksBuilt = true
-}
-
-// xorInverted flips the cells of every inverted group in v.
-func (c *Cached) xorInverted(v *bitvec.Vector) {
-	if !c.masksBuilt {
-		c.rebuildMasks()
-	}
-	c.invGroups = c.inv.AppendOnes(c.invGroups[:0])
-	for _, g := range c.invGroups {
-		v.XorInto(c.masks[g])
-	}
 }
 
 // Write implements scheme.Scheme.
@@ -191,49 +110,12 @@ func (c *Cached) Plan(faults []failcache.Fault, wrong []bool) string {
 	if !ok {
 		return scheme.CauseNoFieldSet
 	}
-	if !equalInts(fields, c.fields) {
-		c.Repartition(fieldsFingerprint(c.fields), fieldsFingerprint(fields), len(faults))
-		c.fields = append(c.fields[:0], fields...)
-		c.rebuildMasks()
+	if !slices.Equal(fields, c.fields) {
+		c.Repartition(fieldMask(c.fields), fieldMask(fields), len(faults))
+		c.setFields(fields)
 	}
-	c.inv.Zero()
-	for i, f := range faults {
-		if wrong[i] {
-			c.inv.Set(c.group(f.Pos, c.fields), true)
-		}
-	}
+	c.invertWrong(faults, wrong)
 	return ""
-}
-
-// Encode implements scheme.Planner.
-func (c *Cached) Encode(data, phys *bitvec.Vector) bool {
-	phys.CopyFrom(data)
-	c.xorInverted(phys)
-	return len(c.invGroups) > 0
-}
-
-// InvertedGroups implements scheme.Planner.
-func (c *Cached) InvertedGroups() int { return len(c.invGroups) }
-
-// Read implements scheme.Scheme.
-func (c *Cached) Read(blk *pcm.Block, dst *bitvec.Vector) *bitvec.Vector {
-	dst = blk.Read(dst)
-	if c.inv.Any() {
-		c.xorInverted(dst)
-	}
-	return dst
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // CachedFactory builds SAFERN-cache instances.

@@ -9,101 +9,59 @@ import (
 )
 
 // MarshalBits implements scheme.MetadataCodec: m position fields of
-// ⌈log₂ log₂ n⌉ bits (unused fields encode 0), a ⌈log₂(m+1)⌉-bit count
-// of the fields in use, and the 2^m inversion bits — exactly the SAFER
-// budget reproduced in Table 1.
-func (s *SAFER) MarshalBits() *bitvec.Vector {
+// ⌈log₂ log₂ n⌉ bits (unused fields encode 0), the 2^m inversion bits,
+// and a ⌈log₂(m+1)⌉-bit count of the fields in use — exactly the SAFER
+// budget reproduced in Table 1, for both variants.
+func (s *partition) MarshalBits() *bitvec.Vector {
 	w := scheme.NewBitWriter(s.OverheadBits())
-	fieldWidth := plane.CeilLog2(s.addrBits)
 	for i := 0; i < s.m; i++ {
+		pos := 0
 		if i < len(s.fields) {
-			w.WriteUint(uint64(s.fields[i]), fieldWidth)
-		} else {
-			w.WriteUint(0, fieldWidth)
+			pos = s.fields[i]
 		}
+		w.WriteUint(uint64(pos), plane.CeilLog2(s.addrBits))
 	}
 	w.WriteVector(s.inv)
 	w.WriteUint(uint64(len(s.fields)), plane.CeilLog2(s.m+1))
 	return w.Finish()
 }
 
-// UnmarshalBits implements scheme.MetadataCodec.
-func (s *SAFER) UnmarshalBits(v *bitvec.Vector) error {
+// UnmarshalBits implements scheme.MetadataCodec.  Besides malformed
+// input it rejects encodings no write produces: a repeated position, a
+// nonzero unused field, and an inversion bit for a group the fields in
+// use leave empty.
+func (s *partition) UnmarshalBits(v *bitvec.Vector) error {
 	r, err := scheme.NewBitReader(v, s.OverheadBits())
 	if err != nil {
 		return err
 	}
-	fieldWidth := plane.CeilLog2(s.addrBits)
 	raw := make([]int, s.m)
 	for i := range raw {
-		raw[i] = int(r.ReadUint(fieldWidth))
+		raw[i] = int(r.ReadUint(plane.CeilLog2(s.addrBits)))
 	}
 	inv := r.ReadVector(s.inv.Len())
 	count := int(r.ReadUint(plane.CeilLog2(s.m + 1)))
 	if count > s.m {
 		return fmt.Errorf("safer: decoded field count %d exceeds budget %d", count, s.m)
 	}
-	fields := raw[:count]
-	seen := map[int]bool{}
-	for _, f := range fields {
-		if f >= s.addrBits {
-			return fmt.Errorf("safer: decoded field position %d out of range", f)
+	mask := 0
+	for i, pos := range raw {
+		switch {
+		case i >= count && pos != 0:
+			return fmt.Errorf("safer: unused field %d holds position %d", i, pos)
+		case i >= count:
+		case pos >= s.addrBits:
+			return fmt.Errorf("safer: decoded field position %d out of range", pos)
+		case mask>>uint(pos)&1 == 1:
+			return fmt.Errorf("safer: duplicate field position %d", pos)
+		default:
+			mask |= 1 << uint(pos)
 		}
-		if seen[f] {
-			return fmt.Errorf("safer: duplicate field position %d", f)
-		}
-		seen[f] = true
 	}
-	s.fields = append(s.fields[:0], fields...)
-	s.masks = nil
+	if ones := inv.OnesIndices(); len(ones) > 0 && ones[len(ones)-1] >= 1<<uint(count) {
+		return fmt.Errorf("safer: inversion bit %d set for a group %d fields leave empty", ones[len(ones)-1], count)
+	}
+	s.setFields(raw[:count])
 	s.inv.CopyFrom(inv)
 	return nil
 }
-
-var _ scheme.MetadataCodec = (*SAFER)(nil)
-
-// MarshalBits implements scheme.MetadataCodec for the cached variant;
-// the on-chip layout is identical to cache-less SAFER.
-func (c *Cached) MarshalBits() *bitvec.Vector {
-	w := scheme.NewBitWriter(c.OverheadBits())
-	fieldWidth := plane.CeilLog2(c.addrBits)
-	for i := 0; i < c.m; i++ {
-		if i < len(c.fields) {
-			w.WriteUint(uint64(c.fields[i]), fieldWidth)
-		} else {
-			w.WriteUint(0, fieldWidth)
-		}
-	}
-	w.WriteVector(c.inv)
-	w.WriteUint(uint64(len(c.fields)), plane.CeilLog2(c.m+1))
-	return w.Finish()
-}
-
-// UnmarshalBits implements scheme.MetadataCodec.
-func (c *Cached) UnmarshalBits(v *bitvec.Vector) error {
-	r, err := scheme.NewBitReader(v, c.OverheadBits())
-	if err != nil {
-		return err
-	}
-	fieldWidth := plane.CeilLog2(c.addrBits)
-	raw := make([]int, c.m)
-	for i := range raw {
-		raw[i] = int(r.ReadUint(fieldWidth))
-	}
-	inv := r.ReadVector(c.inv.Len())
-	count := int(r.ReadUint(plane.CeilLog2(c.m + 1)))
-	if count > c.m {
-		return fmt.Errorf("safer: decoded field count %d exceeds budget %d", count, c.m)
-	}
-	for _, f := range raw[:count] {
-		if f >= c.addrBits {
-			return fmt.Errorf("safer: decoded field position %d out of range", f)
-		}
-	}
-	c.fields = append(c.fields[:0], raw[:count]...)
-	c.inv.CopyFrom(inv)
-	c.rebuildMasks()
-	return nil
-}
-
-var _ scheme.MetadataCodec = (*Cached)(nil)

@@ -8,7 +8,71 @@ import (
 	"aegis/internal/bitvec"
 	"aegis/internal/failcache"
 	"aegis/internal/pcm"
+	"aegis/internal/scheme"
 )
+
+// codecScheme is what the SAFER codec tests need of either variant.
+type codecScheme interface {
+	scheme.Scheme
+	scheme.MetadataCodec
+}
+
+// bothVariants returns a fresh SAFER and SAFER-cache instance for
+// 512-bit blocks with 32 groups.
+func bothVariants(t *testing.T) map[string]codecScheme {
+	t.Helper()
+	s, err := New(512, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCached(512, 32, failcache.Perfect{}.View(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]codecScheme{"SAFER": s, "SAFER-cache": c}
+}
+
+// saferMeta builds SAFER metadata for m=5, 512-bit blocks: five 4-bit
+// position fields, 32 inversion bits, then the 3-bit field count.
+func saferMeta(fields []int, count int, inv ...int) *bitvec.Vector {
+	w := scheme.NewBitWriter(OverheadBits(512, 32))
+	for i := 0; i < 5; i++ {
+		f := 0
+		if i < len(fields) {
+			f = fields[i]
+		}
+		w.WriteUint(uint64(f), 4)
+	}
+	bits := bitvec.New(32)
+	for _, g := range inv {
+		bits.Set(g, true)
+	}
+	w.WriteVector(bits)
+	w.WriteUint(uint64(count), 3)
+	return w.Finish()
+}
+
+// TestCodecDecodeIntoUsedInstance decodes a block's own metadata back
+// into the instance that wrote it: the state, and so every read, must
+// stay what it was.
+func TestCodecDecodeIntoUsedInstance(t *testing.T) {
+	for name, s := range bothVariants(t) {
+		blk := pcm.NewImmortalBlock(512)
+		blk.InjectFault(10, true)
+		blk.InjectFault(200, true)
+		data := bitvec.New(512) // both faults stuck-at-Wrong
+		data.Set(77, true)
+		if err := s.Write(blk, data); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := s.UnmarshalBits(s.MarshalBits()); err != nil {
+			t.Fatalf("%s: own metadata rejected: %v", name, err)
+		}
+		if !s.Read(blk, nil).Equal(data) {
+			t.Fatalf("%s: read after decoding its own metadata differs", name)
+		}
+	}
+}
 
 func TestCodecBudgetExact(t *testing.T) {
 	for _, groups := range []int{2, 16, 32, 128} {
@@ -80,6 +144,26 @@ func TestCodecRejects(t *testing.T) {
 	w.Set(w.Len()-3, true)
 	if err := s.UnmarshalBits(w); err == nil {
 		t.Fatal("out-of-range field accepted")
+	}
+	// Non-canonical encodings no write produces: a repeated field
+	// position, a nonzero unused field, and an inversion bit for a
+	// group the fields in use leave empty.
+	for name, s := range bothVariants(t) {
+		for _, bad := range []struct {
+			why string
+			v   *bitvec.Vector
+		}{
+			{"duplicate field position", saferMeta([]int{3, 3}, 2)},
+			{"nonzero unused field", saferMeta([]int{3, 4}, 1)},
+			{"inversion bit of an empty group", saferMeta([]int{3}, 1, 2)},
+		} {
+			if err := s.UnmarshalBits(bad.v); err == nil {
+				t.Errorf("%s: %s accepted", name, bad.why)
+			}
+		}
+		if err := s.UnmarshalBits(saferMeta([]int{3, 4}, 2, 1, 3)); err != nil {
+			t.Errorf("%s: canonical metadata rejected: %v", name, err)
+		}
 	}
 }
 
