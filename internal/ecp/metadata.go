@@ -15,52 +15,51 @@ import (
 // ECP keeps its pointers in ascending order (see Write), which frees the
 // budget from needing a per-entry valid bit: the first entry is live
 // unless the none-used flag is set, and each later entry is live exactly
-// when its pointer exceeds its predecessor's.  Unused entries repeat the
-// last live pointer.
+// when its pointer exceeds its predecessor's.  Unused entries hold the
+// last live pointer (or 0) and a clear replacement bit.
 func (e *ECP) MarshalBits() *bitvec.Vector {
 	w := scheme.NewBitWriter(e.OverheadBits())
 	w.WriteBool(len(e.ptrs) == 0)
-	width := plane.CeilLog2(e.n)
 	last := 0
 	for i := 0; i < e.entries; i++ {
 		if i < len(e.ptrs) {
 			last = e.ptrs[i]
-			w.WriteUint(uint64(last), width)
-			w.WriteBool(e.repl.Get(i))
-		} else {
-			w.WriteUint(uint64(last), width)
-			w.WriteBool(false)
 		}
+		w.WriteUint(uint64(last), plane.CeilLog2(e.n))
+		w.WriteBool(i < len(e.ptrs) && e.repl.Get(i))
 	}
 	return w.Finish()
 }
 
-// UnmarshalBits implements scheme.MetadataCodec.
+// UnmarshalBits implements scheme.MetadataCodec for exactly what
+// MarshalBits writes; on error the state is left untouched.
 func (e *ECP) UnmarshalBits(v *bitvec.Vector) error {
 	r, err := scheme.NewBitReader(v, e.OverheadBits())
 	if err != nil {
 		return err
 	}
-	empty := r.ReadBool()
-	width := plane.CeilLog2(e.n)
-	ptrs := e.ptrs[:0]
-	prev := -1
+	live, last := !r.ReadBool(), 0
+	var ptrs []int
+	repl := bitvec.New(e.repl.Len())
 	for i := 0; i < e.entries; i++ {
-		p := int(r.ReadUint(width))
-		rb := r.ReadBool()
-		if p >= e.n {
+		p, rb := int(r.ReadUint(plane.CeilLog2(e.n))), r.ReadBool()
+		live = live && (i == 0 || p > last)
+		switch {
+		case p >= e.n:
 			return fmt.Errorf("ecp: decoded pointer %d out of range [0,%d)", p, e.n)
-		}
-		live := !empty && (i == 0 || p > prev)
-		if live {
+		case live:
 			ptrs = append(ptrs, p)
-			e.repl.Set(len(ptrs)-1, rb)
-		}
-		if i == 0 || p > prev {
-			prev = p
+			repl.Set(i, rb)
+			last = p
+		case p != last || rb:
+			return fmt.Errorf("ecp: unused entry %d is not (%d, 0)", i, last)
 		}
 	}
-	e.ptrs = ptrs
+	if live && e.entries == 0 {
+		return fmt.Errorf("ecp: none-used flag clear without entries")
+	}
+	e.ptrs = append(e.ptrs[:0], ptrs...)
+	e.repl.CopyFrom(repl)
 	return nil
 }
 

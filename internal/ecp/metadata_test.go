@@ -7,6 +7,7 @@ import (
 
 	"aegis/internal/bitvec"
 	"aegis/internal/pcm"
+	"aegis/internal/scheme"
 )
 
 func TestCodecBudgetExact(t *testing.T) {
@@ -63,6 +64,38 @@ func TestCodecRejects(t *testing.T) {
 	e, _ := New(512, 6)
 	if err := e.UnmarshalBits(bitvec.New(e.OverheadBits() + 1)); err == nil {
 		t.Fatal("overlong metadata accepted")
+	}
+	// Encodings MarshalBits never writes: every entry after the last
+	// live one must repeat its pointer with a clear replacement bit.
+	meta := func(empty bool, entries ...[2]int) *bitvec.Vector {
+		w := scheme.NewBitWriter(e.OverheadBits())
+		w.WriteBool(empty)
+		for i := 0; i < 6; i++ {
+			ent := [2]int{}
+			if i < len(entries) {
+				ent = entries[i]
+			}
+			w.WriteUint(uint64(ent[0]), 9)
+			w.WriteBool(ent[1] == 1)
+		}
+		return w.Finish()
+	}
+	for _, bad := range []struct {
+		why string
+		v   *bitvec.Vector
+	}{
+		{"entry after the none-used flag", meta(true, [2]int{7, 0})},
+		{"set replacement bit of an unused entry", meta(true, [2]int{0, 1})},
+		{"unused entry with a new pointer", meta(false, [2]int{7, 1}, [2]int{3, 0})},
+		{"live entry after an unused one", meta(false, [2]int{7, 0}, [2]int{7, 0}, [2]int{9, 0})},
+	} {
+		if err := e.UnmarshalBits(bad.v); err == nil {
+			t.Errorf("%s accepted", bad.why)
+		}
+	}
+	none, _ := New(512, 0)
+	if err := none.UnmarshalBits(bitvec.New(1)); err == nil {
+		t.Error("ECP0 accepted a clear none-used flag")
 	}
 }
 
