@@ -30,7 +30,8 @@ import (
 // experiment quantifies.
 type AegisP struct {
 	*Aegis
-	q int
+	q     int
+	saved *bitvec.Vector // inversion vector of the last successful write
 }
 
 var (
@@ -43,7 +44,7 @@ func NewP(l *plane.Layout, q int) (*AegisP, error) {
 	if q < 0 {
 		return nil, fmt.Errorf("core: negative pointer budget %d", q)
 	}
-	return &AegisP{Aegis: New(l), q: q}, nil
+	return &AegisP{Aegis: New(l), q: q, saved: bitvec.New(l.B)}, nil
 }
 
 // Name implements scheme.Scheme.
@@ -60,19 +61,26 @@ func (a *AegisP) codec() PointerCodec { return PointerCodec{L: a.layout, P: a.q}
 func (a *AegisP) Pointers() []int { return a.inv.OnesIndices() }
 
 // Write implements scheme.Scheme: the base Aegis write path with the
-// additional constraint that at most q groups may end up inverted.
+// additional constraint that at most q groups may end up inverted.  A
+// failed write commits no metadata: the block keeps the slope and
+// pointers of its last successful write, which the q pointers can
+// always record.
 func (a *AegisP) Write(blk *pcm.Block, data *bitvec.Vector) error {
-	if err := a.Aegis.Write(blk, data); err != nil {
-		return err
-	}
-	if a.inv.PopCount() > a.q {
+	slope := a.slope
+	a.saved.CopyFrom(a.inv)
+	err := a.Aegis.Write(blk, data)
+	if err == nil && a.inv.PopCount() > a.q {
 		// More inverted groups than pointers can record.  No other
 		// slope helps: in any collision-free configuration each wrong
 		// fault occupies its own group, so the inverted-group count is
 		// the W-fault count of this data.
-		return a.Die(scheme.CausePointerBudget)
+		err = a.Die(scheme.CausePointerBudget)
 	}
-	return nil
+	if err != nil {
+		a.slope = slope
+		a.inv.CopyFrom(a.saved)
+	}
+	return err
 }
 
 // MarshalBits implements scheme.MetadataCodec: the inverted groups in

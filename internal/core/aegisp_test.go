@@ -71,6 +71,33 @@ func TestAegisPDiesOnPointerOverflow(t *testing.T) {
 	}
 }
 
+// TestAegisPDeadBlockMetadataDecodes kills a q=2 block with three
+// simultaneously-wrong faults: the failed write must leave metadata the
+// block's own codec accepts, namely the partition of the last
+// successful write (here the fresh one).
+func TestAegisPDeadBlockMetadataDecodes(t *testing.T) {
+	f := MustPFactory(512, 23, 2)
+	s := f.New().(*AegisP)
+	blk := pcm.NewImmortalBlock(512)
+	for _, p := range []int{3, 100, 300} {
+		blk.InjectFault(p, true)
+	}
+	if err := s.Write(blk, bitvec.New(512)); !errors.Is(err, scheme.ErrUnrecoverable) {
+		t.Fatalf("q=2 with 3 W faults should die, got %v", err)
+	}
+	if got := s.Pointers(); len(got) != 0 {
+		t.Fatalf("dead block records pointers %v, want the fresh block's none", got)
+	}
+	meta := s.MarshalBits()
+	fresh := f.New().(*AegisP)
+	if err := fresh.UnmarshalBits(meta); err != nil {
+		t.Fatalf("dead block's own metadata rejected: %v", err)
+	}
+	if !fresh.MarshalBits().Equal(meta) {
+		t.Fatal("dead block's metadata does not re-encode identically")
+	}
+}
+
 func TestAegisPSoftCapacityNearTwiceQ(t *testing.T) {
 	// With random data, f faults manifest wrong as Binomial(f, ½); the
 	// block survives a burst of writes only while max observed W count

@@ -138,12 +138,22 @@ func bytesOf(v *bitvec.Vector) []byte {
 // must re-encode to the identical bits and leave a fresh instance able
 // to serve writes; rejected input must leave the used instance's reads
 // unchanged; and decoding its own metadata must leave them unchanged
-// too.
+// too.  The raw bytes also place stuck-at-1 cells under an all-zero
+// write: when that write kills the block, the codec must accept the
+// dead block's own metadata.
 func FuzzMetadata(f *testing.F) {
 	cases := codecCases()
 	for i := range cases {
 		s, _, _ := usedInstance(f, cases[i])
 		f.Add(uint8(i), bytesOf(s.(scheme.MetadataCodec).MarshalBits()))
+	}
+	// One input per codec with 8 stuck cells spread over the block.
+	spread := make([]byte, 8)
+	for i := range spread {
+		spread[i] = byte(i * 256 / len(spread))
+	}
+	for i := range cases {
+		f.Add(uint8(i), spread)
 	}
 	f.Fuzz(func(t *testing.T, which uint8, raw []byte) {
 		c := cases[int(which)%len(cases)]
@@ -182,6 +192,18 @@ func FuzzMetadata(f *testing.F) {
 		}
 		if !used.Read(blk, nil).Equal(data) {
 			t.Fatalf("%s: read differs after decoding its own metadata", c.name)
+		}
+
+		n := c.factory().BlockBits()
+		dead, deadBlk := c.factory().New(), pcm.NewImmortalBlock(n)
+		for _, b := range raw {
+			deadBlk.InjectFault(int(b)*n/256, true)
+		}
+		if dead.Write(deadBlk, bitvec.New(n)) != nil {
+			meta := dead.(scheme.MetadataCodec).MarshalBits()
+			if err := c.factory().New().(scheme.MetadataCodec).UnmarshalBits(meta); err != nil {
+				t.Fatalf("%s: dead block's own metadata rejected: %v", c.name, err)
+			}
 		}
 	})
 }
