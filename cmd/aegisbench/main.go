@@ -102,7 +102,7 @@ func run(args []string, out *os.File) error {
 		preset     = fs.String("preset", "default", "effort preset: quick, default, full")
 		seed       = fs.Int64("seed", 0, "override the preset's RNG seed (0 = keep preset seed)")
 		workers    = fs.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
-		lanes      = fs.Int("lanes", 0, "bit-sliced trial lanes per machine word: 0 = auto, 1 = scalar, 2-64 explicit (results are identical at any lane width)")
+		lanes      = fs.Int("lanes", 0, "bit-sliced trial lanes per machine word: 0 or 1 = scalar (the default), 2-64 = sliced (results are identical at any lane width)")
 		csvDir     = fs.String("csv", "", "also write each table as CSV into this directory")
 		jsonDir    = fs.String("json", "", "write a machine-readable run manifest into this directory")
 		format     = fs.String("format", "text", "table output format: text or md (markdown)")

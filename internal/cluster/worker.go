@@ -24,7 +24,7 @@ type WorkerOptions struct {
 	// shard it already computed is served from disk.
 	CacheDir string
 	// Lanes overrides the bit-sliced lane width like the daemon flag of
-	// the same name (0 = the request's value).
+	// the same name (0 = the request's value, itself scalar by default).
 	Lanes int
 	// Metrics receives the worker's instrument families (nil =
 	// unregistered).

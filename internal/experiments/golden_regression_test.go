@@ -164,7 +164,7 @@ func checkTol(t *testing.T, scheme, metric string, got, want float64) {
 
 // goldenRun computes the golden metric table through a given engine —
 // the same pipeline TestGoldenRegression pins — at a given bit-sliced
-// lane width (0 = auto, 1 = scalar).
+// lane width (0 = the scalar default, 1 = scalar, 2..64 = sliced).
 func goldenRun(t *testing.T, eng *engine.Engine, lanes int) map[string]goldenMetrics {
 	t.Helper()
 	cfg := goldenConfig()

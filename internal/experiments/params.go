@@ -42,8 +42,9 @@ type Params struct {
 	// Workers caps simulation parallelism (0 = GOMAXPROCS).
 	Workers int
 	// Lanes selects the bit-sliced trial width (sim.Config.Lanes):
-	// 0 = auto, 1 = scalar, 2..64 = explicit lane count.  Results are
-	// identical at every setting, by construction (see DESIGN.md §13).
+	// 0 (the default) and 1 = scalar, 2..64 = explicit lane count.
+	// Results are identical at every setting, by construction (see
+	// DESIGN.md §13).
 	Lanes int
 	// Engine routes every simulation through the shard engine
 	// (internal/engine): splitting, caching and resuming.  nil (or the

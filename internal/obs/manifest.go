@@ -79,8 +79,8 @@ type ShardingInfo struct {
 	// Workers is the number of shards computed concurrently (the
 	// effective engine worker count; scheduling never affects results).
 	Workers int `json:"workers,omitempty"`
-	// Lanes is the bit-sliced trial width the run requested (0 = auto,
-	// 1 = scalar; lane width never affects results).
+	// Lanes is the bit-sliced trial width the run requested (0 and 1 =
+	// scalar, 2..64 = sliced; lane width never affects results).
 	Lanes int `json:"lanes,omitempty"`
 	// CacheDir is the shard cache directory ("" = persistence off).
 	CacheDir string `json:"cache_dir,omitempty"`

@@ -71,8 +71,8 @@ type JobRequest struct {
 	// Shards overrides the daemon's per-job shard count (0 = daemon
 	// default).
 	Shards int `json:"shards,omitempty"`
-	// Lanes selects the bit-sliced trial width (0 = auto, 1 = scalar,
-	// 2..64 explicit; results are identical at any lane width).
+	// Lanes selects the bit-sliced trial width (0, the default, and 1 =
+	// scalar; 2..64 = sliced; results are identical at any lane width).
 	Lanes int `json:"lanes,omitempty"`
 	// TimeoutSeconds bounds the job's run time (0 = daemon default).
 	// An expired job fails with a deadline error; its completed shards

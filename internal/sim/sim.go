@@ -66,9 +66,8 @@ type Config struct {
 	// support it (scheme.SlicedFactory): groups of up to Lanes trials
 	// pack into the bit lanes of each machine word and run in lockstep,
 	// with results byte-identical to the scalar path because every lane
-	// keeps the RNG of its global trial index.  0 (the default) packs
-	// full 64-lane groups and runs the remainder trials scalar; 1 forces
-	// the scalar path; 2–64 slice every group, including a clamped
+	// keeps the RNG of its global trial index.  0 (the default) and 1
+	// run the scalar path; 2–64 slice every group, including a clamped
 	// remainder group (values above 64 clamp to 64).  Schemes without a
 	// sliced implementation, the PulseWear ablation and event-traced
 	// runs always use the scalar path.  See DESIGN.md §13.
@@ -365,14 +364,11 @@ type BlockResult struct {
 // the results are byte-identical either way.
 func Blocks(f scheme.Factory, cfg Config) []BlockResult {
 	results := make([]BlockResult, cfg.Trials)
-	if sf, plan := cfg.slicePlan(f); plan != nil {
-		blocksSliced(sf, cfg, plan, results)
-		if plan.sliced < cfg.Trials {
-			blocksScalar(f, tailConfig(cfg, plan.sliced), results[plan.sliced:])
-		}
-		return results
+	if sf, groups := cfg.slicePlan(f); groups != nil {
+		blocksSliced(sf, cfg, groups, results)
+	} else {
+		blocksScalar(f, cfg, results)
 	}
-	blocksScalar(f, cfg, results)
 	return results
 }
 
@@ -436,14 +432,11 @@ type PageResult struct {
 // results are byte-identical either way.
 func Pages(f scheme.Factory, cfg Config) []PageResult {
 	results := make([]PageResult, cfg.Trials)
-	if sf, plan := cfg.slicePlan(f); plan != nil {
-		pagesSliced(sf, cfg, plan, results)
-		if plan.sliced < cfg.Trials {
-			pagesScalar(f, tailConfig(cfg, plan.sliced), results[plan.sliced:])
-		}
-		return results
+	if sf, groups := cfg.slicePlan(f); groups != nil {
+		pagesSliced(sf, cfg, groups, results)
+	} else {
+		pagesScalar(f, cfg, results)
 	}
-	pagesScalar(f, cfg, results)
 	return results
 }
 

@@ -41,53 +41,26 @@ func laneGroups(n, lanes int) [][2]int {
 	return groups
 }
 
-// slicePlan describes how a run's trials divide between the sliced and
-// scalar paths: groups cover run-local trials [0, sliced) lane-packed,
-// and [sliced, Trials) falls through to the scalar loop.
-type slicePlan struct {
-	groups [][2]int
-	sliced int
-}
-
-// slicePlan resolves cfg.Lanes against a factory:
+// slicePlan resolves cfg.Lanes against a factory into the lane groups
+// of a bit-sliced run, or nil for the scalar path:
 //
-//	Lanes == 0  auto: pack full 64-lane groups, leave the remainder
-//	            (< 64 trials) to the scalar path, whose per-trial cost
-//	            beats a part-filled group's full-width word ops;
-//	Lanes == 1  force scalar;
+//	Lanes 0, 1  scalar (0 is the default);
 //	Lanes >= 2  explicit width: every group sliced, including the
 //	            clamped remainder group (capped at 64).
 //
-// Runs fall back to scalar entirely when the factory is not sliced
-// (SAFER/RDIS/FreeP/PAYG…), under the per-pulse wear ablation, or when
-// event tracing is on (the trace stream's event order is a scalar-path
-// notion; histograms and counters stay on the sliced path).
-func (c Config) slicePlan(f scheme.Factory) (scheme.SlicedFactory, *slicePlan) {
+// The default is scalar because the sliced mode does not pay for
+// itself (DESIGN.md §13): a 64-trial call packs into one lane group,
+// which only one worker can run, where the scalar loop spreads the same
+// trials over every worker.  Explicit widths still fall back to scalar
+// when the factory is not sliced (SAFER/RDIS/FreeP/PAYG…), under the
+// per-pulse wear ablation, or when event tracing is on (the trace
+// stream's event order is a scalar-path notion).
+func (c Config) slicePlan(f scheme.Factory) (scheme.SlicedFactory, [][2]int) {
 	sf, ok := f.(scheme.SlicedFactory)
-	if !ok || c.PulseWear || c.Trace != nil || c.Lanes == 1 || c.Trials <= 0 {
+	if !ok || c.PulseWear || c.Trace != nil || c.Lanes <= 1 || c.Trials <= 0 {
 		return nil, nil
 	}
-	lanes := c.Lanes
-	if lanes == 0 {
-		nFull := c.Trials / 64
-		if nFull == 0 {
-			return nil, nil
-		}
-		return sf, &slicePlan{groups: laneGroups(nFull*64, 64), sliced: nFull * 64}
-	}
-	if lanes > 64 {
-		lanes = 64
-	}
-	return sf, &slicePlan{groups: laneGroups(c.Trials, lanes), sliced: c.Trials}
-}
-
-// tailConfig narrows cfg to the scalar remainder [sliced, Trials),
-// shifting TrialOffset so global trial indices (and so RNG streams and
-// trace labels) are unchanged.
-func tailConfig(cfg Config, sliced int) Config {
-	cfg.Trials -= sliced
-	cfg.TrialOffset += sliced
-	return cfg
+	return sf, laneGroups(c.Trials, min(c.Lanes, 64))
 }
 
 // laneMask returns the mask of the low n lanes.
@@ -215,26 +188,26 @@ func (ls *laneScratch) fillData(mask uint64, n, L int) {
 }
 
 // forEachLaneGroup fans lane groups out over a worker pool, mirroring
-// forEachTrial: the study's sliced trial count is registered with
+// forEachTrial: the study's trial count is registered with
 // cfg.Progress up front (per-trial Done ticks happen at lane
 // retirement), groups are claimed in order, and cancellation skips
 // groups not yet started.
-func forEachLaneGroup(cfg Config, plan *slicePlan, body func(g [2]int, ls *laneScratch)) {
-	cfg.Progress.AddTotal(plan.sliced)
+func forEachLaneGroup(cfg Config, groups [][2]int, body func(g [2]int, ls *laneScratch)) {
+	cfg.Progress.AddTotal(cfg.Trials)
 	run := func(gi int, ls *laneScratch) {
 		if cfg.cancelled() {
 			return
 		}
-		body(plan.groups[gi], ls)
+		body(groups[gi], ls)
 	}
 	workers := cfg.workers()
-	if workers > len(plan.groups) {
-		workers = len(plan.groups)
+	if workers > len(groups) {
+		workers = len(groups)
 	}
 	if workers <= 1 {
 		ls := laneScratchPool.Get().(*laneScratch)
 		defer laneScratchPool.Put(ls)
-		for gi := range plan.groups {
+		for gi := range groups {
 			if cfg.cancelled() {
 				return
 			}
@@ -255,7 +228,7 @@ func forEachLaneGroup(cfg Config, plan *slicePlan, body func(g [2]int, ls *laneS
 			}
 		}()
 	}
-	for gi := range plan.groups {
+	for gi := range groups {
 		if cfg.cancelled() {
 			break
 		}
@@ -302,11 +275,11 @@ func observeSalvages(s scheme.SlicedScheme, h *obs.SchemeHistograms) {
 
 // blocksSliced runs the lane groups of a Blocks study; results indices
 // are run-local trial indices, exactly as the scalar loop fills them.
-func blocksSliced(f scheme.SlicedFactory, cfg Config, plan *slicePlan, results []BlockResult) {
+func blocksSliced(f scheme.SlicedFactory, cfg Config, groups [][2]int, results []BlockResult) {
 	sc := cfg.counters(f)
 	h := cfg.histograms(f)
 	life := cfg.lifetime()
-	forEachLaneGroup(cfg, plan, func(g [2]int, ls *laneScratch) {
+	forEachLaneGroup(cfg, groups, func(g [2]int, ls *laneScratch) {
 		lo, L := g[0], g[1]-g[0]
 		ls.ensure(cfg.BlockBits, L)
 		for l := 0; l < L; l++ {
@@ -368,12 +341,12 @@ func blocksSliced(f scheme.SlicedFactory, cfg Config, plan *slicePlan, results [
 // pagesSliced runs the lane groups of a Pages study.  A lane that dies
 // at block i of a page-write round is masked out of the round's
 // remaining blocks (the scalar loop breaks there) and retires.
-func pagesSliced(f scheme.SlicedFactory, cfg Config, plan *slicePlan, results []PageResult) {
+func pagesSliced(f scheme.SlicedFactory, cfg Config, groups [][2]int, results []PageResult) {
 	sc := cfg.counters(f)
 	h := cfg.histograms(f)
 	life := cfg.lifetime()
 	nBlocks := cfg.BlocksPerPage()
-	forEachLaneGroup(cfg, plan, func(g [2]int, ls *laneScratch) {
+	forEachLaneGroup(cfg, groups, func(g [2]int, ls *laneScratch) {
 		lo, L := g[0], g[1]-g[0]
 		ls.ensure(cfg.BlockBits, L)
 		for l := 0; l < L; l++ {

@@ -28,9 +28,9 @@ func slicedRoster() []struct {
 }
 
 // laneSweep is the lane widths the differential tests pin against the
-// scalar path.  7 and 63 leave remainders at 70 trials (the
-// lanes-don't-divide-trials path); 64 leaves a 6-trial remainder; 0 is
-// the auto policy (full groups sliced, remainder scalar).
+// scalar path.  7, 63 and 64 run the bit-sliced mode and leave a
+// clamped remainder group at 70 trials (the lanes-don't-divide-trials
+// path); 0 is the default, which runs scalar.
 var laneSweep = []int{0, 7, 63, 64}
 
 func slicedConfig(trials, lanes, workers int) Config {
@@ -171,45 +171,49 @@ func TestLaneGroups(t *testing.T) {
 	}
 }
 
-// TestSlicePlan pins the dispatch policy: auto slices only full 64-lane
-// groups, explicit widths slice everything (clamped at 64), and scalar
-// fallbacks (unsliced scheme, Lanes=1, pulse wear, tracing) disable the
-// plan.
+// TestSlicePlan pins the dispatch policy: the default (0) and 1 run
+// scalar at every trial count, with or without a trace attached;
+// explicit widths slice everything (clamped at 64); and the scalar
+// fallbacks (unsliced scheme, pulse wear, tracing) disable an explicit
+// width.
 func TestSlicePlan(t *testing.T) {
 	sliceable := scheme.NoneFactory{Bits: 64}
-	cfg := slicedConfig(70, 0, 1)
-	if _, plan := cfg.slicePlan(sliceable); plan == nil || plan.sliced != 64 || len(plan.groups) != 1 {
-		t.Fatalf("auto plan for 70 trials = %+v, want one full group and a 6-trial scalar tail", plan)
+	for _, lanes := range []int{0, 1} {
+		for _, trials := range []int{63, 64, 70, 128} {
+			cfg := slicedConfig(trials, lanes, 1)
+			if _, groups := cfg.slicePlan(sliceable); groups != nil {
+				t.Fatalf("lanes=%d plan for %d trials = %v, want scalar", lanes, trials, groups)
+			}
+			cfg.Trace = &obs.EventWriter{}
+			if _, groups := cfg.slicePlan(sliceable); groups != nil {
+				t.Fatalf("lanes=%d traced plan for %d trials = %v, want scalar", lanes, trials, groups)
+			}
+		}
 	}
-	cfg.Trials = 63
-	if _, plan := cfg.slicePlan(sliceable); plan != nil {
-		t.Fatalf("auto plan for 63 trials should be scalar, got %+v", plan)
+	cfg := slicedConfig(70, 7, 1)
+	if _, groups := cfg.slicePlan(sliceable); len(groups) != 10 || groups[9] != [2]int{63, 70} {
+		t.Fatalf("explicit lanes=7 plan = %v, want 10 sliced groups", groups)
 	}
-	cfg.Trials = 70
-	cfg.Lanes = 7
-	if _, plan := cfg.slicePlan(sliceable); plan == nil || plan.sliced != 70 || len(plan.groups) != 10 {
-		t.Fatalf("explicit lanes=7 plan = %+v, want 10 sliced groups", plan)
+	cfg.Lanes = 64
+	if _, groups := cfg.slicePlan(sliceable); !reflect.DeepEqual(groups, [][2]int{{0, 64}, {64, 70}}) {
+		t.Fatalf("explicit lanes=64 plan = %v, want a full group and a clamped one", groups)
 	}
 	cfg.Lanes = 1000
-	if _, plan := cfg.slicePlan(sliceable); plan == nil || len(plan.groups) != 2 {
-		t.Fatalf("lanes>64 should clamp to 64, got %+v", plan)
-	}
-	cfg.Lanes = 1
-	if _, plan := cfg.slicePlan(sliceable); plan != nil {
-		t.Fatal("Lanes=1 must force the scalar path")
+	if _, groups := cfg.slicePlan(sliceable); !reflect.DeepEqual(groups, [][2]int{{0, 64}, {64, 70}}) {
+		t.Fatalf("lanes>64 should clamp to 64, got %v", groups)
 	}
 	cfg.Lanes = 64
 	cfg.PulseWear = true
-	if _, plan := cfg.slicePlan(sliceable); plan != nil {
+	if _, groups := cfg.slicePlan(sliceable); groups != nil {
 		t.Fatal("PulseWear must force the scalar path")
 	}
 	cfg.PulseWear = false
 	cfg.Trace = &obs.EventWriter{}
-	if _, plan := cfg.slicePlan(sliceable); plan != nil {
+	if _, groups := cfg.slicePlan(sliceable); groups != nil {
 		t.Fatal("event tracing must force the scalar path")
 	}
 	cfg.Trace = nil
-	if _, plan := cfg.slicePlan(freshFactory{sliceable}); plan != nil {
+	if _, groups := cfg.slicePlan(freshFactory{sliceable}); groups != nil {
 		t.Fatal("schemes without a sliced implementation must fall back to scalar")
 	}
 }
