@@ -38,6 +38,13 @@ bench:
 # benchmarks once and writes a normalized BENCH_<date>.json.  Compare two
 # files with `go run ./cmd/benchdiff -old A.json -new B.json`; refresh
 # the CI baseline with BENCH=BENCH_baseline.json.
+#
+# The simulator keeps scratch per worker, so allocs/op grow with the
+# processor count.  The benchmark recipes run at GOMAXPROCS=1, the value
+# the baseline was recorded at, so the alloc gate compares like with like
+# on any host; benchdiff records the value and refuses to compare files
+# recorded under different ones.
+bench-json bench-baseline bench-gate: export GOMAXPROCS = 1
 BENCH ?= BENCH_$(shell date +%Y-%m-%d).json
 bench-json:
 	$(GO) run ./cmd/benchdiff -run -benchtime 1x -out $(BENCH)
@@ -124,6 +131,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMetadata -fuzztime=10s ./internal/scheme/
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/serve/
 	$(GO) test -fuzz=FuzzLeaseWire -fuzztime=10s ./internal/cluster/
+	$(GO) test -fuzz=FuzzWear -fuzztime=10s ./internal/pcm/
 
 # Regenerate the fixed-seed golden regression file after an intentional
 # behaviour change.

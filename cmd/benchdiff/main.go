@@ -12,7 +12,8 @@
 //	benchdiff -run -notes "bench host: 8-core xeon" -out BENCH_baseline.json
 //
 // The comparison matches benchmarks by name (GOMAXPROCS suffix
-// stripped), reports the ns/op and allocs/op delta of every common
+// stripped) between two files recorded under the same GOMAXPROCS,
+// reports the ns/op and allocs/op delta of every common
 // benchmark, and fails when a ns/op delta exceeds -threshold percent or
 // an allocs/op delta exceeds -alloc-threshold percent.  Allocation
 // counts are deterministic, so the alloc gate holds even on noisy
@@ -36,6 +37,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,8 +57,13 @@ type File struct {
 	GOOS      string    `json:"goos"`
 	GOARCH    string    `json:"goarch"`
 	NumCPU    int       `json:"num_cpu"`
-	GitSHA    string    `json:"git_sha"`
-	Benchtime string    `json:"benchtime,omitempty"`
+	// GOMAXPROCS is the processor limit the benchmarks ran under.  The
+	// simulator keeps per-worker scratch, so allocs/op grow with it, and
+	// Compare refuses files recorded under different values.  A file
+	// without the field is read as its num_cpu.
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	GitSHA     string `json:"git_sha"`
+	Benchtime  string `json:"benchtime,omitempty"`
 	// Notes is free-form provenance supplied at record time (-notes):
 	// what host class produced the file, why it was refreshed.
 	Notes      string      `json:"notes,omitempty"`
@@ -156,6 +163,7 @@ func runBenchmarks(bench, benchtime, pkg string, count int, outPath, notes strin
 		GOOS:       obs.GOOS(),
 		GOARCH:     obs.GOARCH(),
 		NumCPU:     obs.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		GitSHA:     obs.GitSHA(),
 		Benchtime:  benchtime,
 		Notes:      notes,
@@ -250,6 +258,11 @@ func compareFiles(oldPath, newPath string, thresholdPct, allocThresholdPct float
 	if oldF.Schema != newF.Schema {
 		return obs.SchemaMismatch(oldPath, oldF.Schema, newPath, newF.Schema,
 			"re-record one side with this benchdiff (`benchdiff -run`) so both files share a schema")
+	}
+	if oldF.GOMAXPROCS != newF.GOMAXPROCS {
+		return fmt.Errorf("%s was recorded at GOMAXPROCS=%d and %s at GOMAXPROCS=%d; "+
+			"allocs/op scale with the simulator's worker count, so re-record one side with GOMAXPROCS=%d",
+			oldPath, oldF.GOMAXPROCS, newPath, newF.GOMAXPROCS, oldF.GOMAXPROCS)
 	}
 	report := Compare(oldF, newF, thresholdPct, allocThresholdPct)
 	fmt.Fprint(out, report.Format(oldPath, newPath, thresholdPct, allocThresholdPct))
@@ -398,6 +411,9 @@ func loadFile(path string) (*File, error) {
 	// benchmark file at all.
 	if !strings.HasPrefix(f.Schema, "aegis.bench/") {
 		return nil, fmt.Errorf("%s has schema %q, want %q", path, f.Schema, BenchSchema)
+	}
+	if f.GOMAXPROCS == 0 {
+		f.GOMAXPROCS = f.NumCPU
 	}
 	return &f, nil
 }

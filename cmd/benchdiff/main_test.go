@@ -277,3 +277,37 @@ func TestNoArgsIsAnError(t *testing.T) {
 		t.Fatal("benchdiff with no mode flags should fail")
 	}
 }
+
+// TestCompareGOMAXPROCSMismatch checks that files recorded under
+// different processor limits are refused, and that a file without the
+// gomaxprocs field is read as its num_cpu.
+func TestCompareGOMAXPROCSMismatch(t *testing.T) {
+	dir := t.TempDir()
+	legacy := benchFile(map[string]float64{"Fig5": 100})
+	legacy.NumCPU = 1 // GOMAXPROCS left 0: the field is omitted on disk
+	legacyPath := filepath.Join(dir, "legacy.json")
+	if err := writeFile(legacyPath, legacy); err != nil {
+		t.Fatal(err)
+	}
+	write := func(name string, procs int) string {
+		f := benchFile(map[string]float64{"Fig5": 100})
+		f.NumCPU, f.GOMAXPROCS = 2, procs
+		path := filepath.Join(dir, name)
+		if err := writeFile(path, f); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	two, one := write("two.json", 2), write("one.json", 1)
+
+	err := run([]string{"-old", legacyPath, "-new", two}, &bytes.Buffer{})
+	if err == nil {
+		t.Fatal("GOMAXPROCS 1 and 2 compared")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "GOMAXPROCS=1") || !strings.Contains(msg, "GOMAXPROCS=2") {
+		t.Fatalf("mismatch error does not name both values: %v", err)
+	}
+	if err := run([]string{"-old", legacyPath, "-new", one}, &bytes.Buffer{}); err != nil {
+		t.Fatalf("legacy num_cpu 1 against gomaxprocs 1: %v", err)
+	}
+}

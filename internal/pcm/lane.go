@@ -43,10 +43,10 @@ type LaneBlock struct {
 
 	life []int32 // [n*64] life[j*64+l] = lane l's remaining pulses for cell j; <0 = immortal
 
-	// Batched wear, the transposed analogue of Block's wearAcc/wearGuard,
-	// using the same byte-lane counters: pend[j*8+k] accumulates
-	// spread8(m>>8k) per settlement, so its byte i (from the top) is the
-	// pending (not yet settled) pulse count of cell j in lane 8k+i.
+	// Batched wear.  Pulses accumulate in byte-lane counters and fold
+	// into life lazily: pend[j*8+k] accumulates spread8(m>>8k) per
+	// settlement, so its byte i (from the top) is the pending (not yet
+	// settled) pulse count of cell j in lane 8k+i.
 	//
 	// A position's lanes are partitioned by remaining life.  Lanes at
 	// dangerLife or below enter danger[j]: their cell could die soon, so
@@ -80,6 +80,14 @@ type LaneBlock struct {
 // settlements per position.  Larger values settle less often but
 // death-check more lanes per request.
 const dangerLife = 16
+
+// spread8 distributes the low 8 bits of c across the byte lanes of a
+// uint64: lane k holds bit 7-k of c.  The multiply places bit j of c at
+// bit 63-8j (the partial products 2^(9i+j) never collide for distinct
+// j, so no carries occur), the shift and mask isolate the lane LSBs.
+func spread8(c uint64) uint64 {
+	return (c & 0xff) * 0x8040201008040201 >> 7 & 0x0101010101010101
+}
 
 // LaneErr is one verification mismatch: a cell position and the mask of
 // lanes that read back wrong there.  VerifyErrors appends them in
@@ -343,11 +351,11 @@ func (b *LaneBlock) EndRequest() {
 }
 
 // settleExact charges position j's pending batched pulses plus the
-// final changed mask m exactly, registering deaths.  It mirrors the
-// scalar wearWord exact path: immortal cells (<0) are skipped, and the
-// request's own decrement hitting exactly 0 is a death (the guard
-// invariant keeps flushed backlog from killing a live lane's cell; the
-// dead cell keeps its just-written value as the stuck value).  The
+// final changed mask m exactly, registering deaths.  Immortal cells
+// (<0) are skipped, and the request's own decrement hitting exactly 0
+// is a death (the guard invariant keeps flushed backlog from killing a
+// live lane's cell; the dead cell keeps its just-written value as the
+// stuck value).  The
 // flush, the decrement and the guard re-arm fuse into one pass over the
 // 64 lanes — positions pinned to the exact path by a near-death lane
 // settle on every request, so this is hot on long-lived pages.

@@ -44,8 +44,20 @@ type Block struct {
 	n      int
 	stored *bitvec.Vector // current cell contents (stuck cells hold their stuck value)
 	stuck  *bitvec.Vector // stuck-at mask
-	life   []int32        // remaining programming pulses per cell; <0 = immortal
 	stats  Stats
+
+	// Wear counters, vertical: word wi's cells keep their remaining
+	// life minus one as k bit planes, planes[wi*k+p] holding bit p of
+	// every cell's counter (bit j = cell wi*64+j).  k is fixed at sample
+	// time by the longest lifetime in the block, and at least
+	// minPlanes.  mortal marks the cells that can still die: finite and
+	// not stuck.  Charging a pulse to a word's cells is one borrow-ripple
+	// decrement over its planes, and the borrow out of the top plane is
+	// exactly the cells whose budget ran out (their counter was 0).
+	// Plane bits of cells outside mortal are never read.
+	mortal []uint64
+	planes []uint64
+	k      int
 
 	// Request-scoped wear (the paper's model, §3.1): between
 	// BeginRequest and EndRequest, programming happens logically but
@@ -56,26 +68,18 @@ type Block struct {
 	// open (per-pulse wear otherwise).
 	baseline  *bitvec.Vector
 	inRequest bool
-	// allPositive records that every sampled lifetime was ≥ 1, which is
-	// the common case for endurance distributions.  It licenses the wear
-	// fast path: no cell is immortal (< 0) and no cell can sit at 0
-	// without being stuck, so a decrement hitting 0 is exactly a death.
-	allPositive bool
-
-	// Batched wear (the Monte-Carlo hot path).  Charging pulses one
-	// int32 decrement at a time costs ~4 cycles per pulse; instead,
-	// pulses for each full 64-cell word accumulate into eight uint64
-	// byte-lane counters (wearAcc[wi*8+k] lane j covers cell
-	// wi*64 + 8k + 7-j) and are folded into life lazily.  wearGuard[wi]
-	// bounds how many more wear calls the word can absorb before a cell
-	// could die or a byte lane could overflow: it starts at
-	// min(255, min remaining life) and decrements per call, so while it
-	// stays above 1 no death is possible and the call reduces to eight
-	// multiply-spread adds.  At 1 the word is flushed and that call is
-	// processed exactly, preserving bit-identical death timing.
-	wearAcc   []uint64
-	wearGuard []int32
 }
+
+// A block's counters are at least minPlanes deep so the wear ripple can
+// run its low planes unrolled: the surplus high planes of a short-lived
+// cell stay zero, and a borrow leaves them only when the counter
+// underflows, which is the cell's death at any depth.  maxPlanes is the
+// deepest counter a cell can need: lifetimes clamp to 2^31-1, so
+// remaining life minus one fits in 31 bits.
+const (
+	minPlanes = 8
+	maxPlanes = 31
+)
 
 // CellFault is one stuck cell: its position within the block and the
 // value it is stuck at.  It is the currency of the fail-cache model
@@ -93,14 +97,12 @@ func NewBlock(n int, d dist.Lifetime, rng *xrand.Rand) *Block {
 	if n <= 0 {
 		panic(fmt.Sprintf("pcm: block size %d must be positive", n))
 	}
-	full := n / 64
 	b := &Block{
-		n:         n,
-		stored:    bitvec.New(n),
-		stuck:     bitvec.New(n),
-		life:      make([]int32, n),
-		wearAcc:   make([]uint64, full*8),
-		wearGuard: make([]int32, full),
+		n:      n,
+		stored: bitvec.New(n),
+		stuck:  bitvec.New(n),
+		mortal: make([]uint64, (n+63)/64),
+		planes: make([]uint64, (n+63)/64*maxPlanes),
 	}
 	b.sampleLifetimes(d, rng)
 	return b
@@ -108,30 +110,42 @@ func NewBlock(n int, d dist.Lifetime, rng *xrand.Rand) *Block {
 
 // sampleLifetimes draws one lifetime per cell in ascending cell order.
 // NewBlock and Reset share it so a reset block consumes the RNG stream
-// exactly as a freshly constructed one would.
+// exactly as a freshly constructed one would.  A negative sample is an
+// immortal cell; finite lifetimes clamp to [1, 2^31-1] (every
+// dist.Lifetime already returns at least 1).  Each word's counters are
+// staged as 64 rows, transposed into planes at the maximum depth, and
+// compacted to the block's depth k once the longest lifetime is known.
+// Rows of immortal and past-the-end cells keep stale values, and words
+// without a mortal cell skip the transpose, since none of it is read.
 func (b *Block) sampleLifetimes(d dist.Lifetime, rng *xrand.Rand) {
-	b.allPositive = true
-	for i := range b.life {
-		v := d.Sample(rng)
-		switch {
-		case v < 0:
-			b.life[i] = -1
-			b.allPositive = false
-		case v > 1<<31-1:
-			b.life[i] = 1<<31 - 1
-		default:
-			b.life[i] = int32(v)
-			if b.life[i] == 0 {
-				b.allPositive = false
+	var rows [64]uint64
+	var all uint64 // OR of every counter; its bit length is k
+	staged := b.planes[:len(b.mortal)*maxPlanes]
+	for wi := range b.mortal {
+		cells := min(64, b.n-wi*64)
+		var mortal uint64
+		for i := 0; i < cells; i++ {
+			v := d.Sample(rng)
+			if v < 0 {
+				continue // immortal
 			}
+			v = min(max(v, 1), 1<<31-1)
+			rows[i] = uint64(v - 1)
+			all |= rows[i]
+			mortal |= 1 << uint(i)
 		}
+		b.mortal[wi] = mortal
+		if mortal == 0 {
+			continue
+		}
+		bitvec.Transpose64(&rows)
+		copy(staged[wi*maxPlanes:], rows[:maxPlanes])
 	}
-	for i := range b.wearAcc {
-		b.wearAcc[i] = 0
+	k := max(bits.Len64(all), minPlanes)
+	for wi := range b.mortal {
+		copy(staged[wi*k:wi*k+k], staged[wi*maxPlanes:])
 	}
-	for wi := range b.wearGuard {
-		b.recomputeGuard(wi)
-	}
+	b.k, b.planes = k, staged[:len(b.mortal)*k]
 }
 
 // Reset returns the block to the state NewBlock(b.Size(), d, rng) would
@@ -204,126 +218,55 @@ func (b *Block) WriteRaw(data *bitvec.Vector) int {
 		if deferred {
 			continue // wear settles at EndRequest
 		}
-		kw[wi] |= b.wearWord(wi, writable)
+		if m := writable & b.mortal[wi]; m != 0 {
+			kw[wi] |= b.wearWord(wi, m)
+		}
 	}
 	b.stats.BitWrites += int64(pulses)
 	return pulses
 }
 
-// spread8 distributes the low 8 bits of c across the byte lanes of a
-// uint64: lane k holds bit 7-k of c.  The multiply places bit j of c at
-// bit 63-8j (the partial products 2^(9i+j) never collide for distinct
-// j, so no carries occur), the shift and mask isolate the lane LSBs.
-func spread8(c uint64) uint64 {
-	return (c & 0xff) * 0x8040201008040201 >> 7 & 0x0101010101010101
-}
-
-// wearWord charges one programming pulse to every cell set in w (the
-// word at index wi), returning the mask of cells whose budget ran out.
-// The caller ORs the result into the stuck word.  This is the hot path
-// of every Monte-Carlo figure; see the wearAcc/wearGuard comment on
-// Block for the batching scheme.  Partial tail words and blocks with
-// immortal or zero-lifetime cells take the exact per-cell path.
+// wearWord charges one programming pulse to every cell set in w, which
+// the caller has masked with mortal[wi], and returns the mask of cells
+// whose budget ran out; the caller ORs it into the stuck word.  This is
+// the hot path of every Monte-Carlo figure.  The decrement ripples a
+// borrow up the word's planes: a cell's bit flips while the borrow
+// reaches it, and the borrow passes on where the bit was 0.  The low
+// eight planes (every block has at least eight) run unrolled and
+// unconditionally: whether a borrow survives them is close to a coin
+// flip the branch predictor cannot learn, so a per-plane exit test
+// costs more than the planes it skips.  From plane 8 on, where a borrow
+// rarely survives, the ripple stops once none is left.
 func (b *Block) wearWord(wi int, w uint64) uint64 {
-	base := wi * 64
-	if b.allPositive && base+64 <= len(b.life) {
-		if g := b.wearGuard[wi]; g > 1 {
-			// No cell in this word can die for another g-1 calls and
-			// no byte lane can overflow, so the pulses just accumulate.
-			b.wearGuard[wi] = g - 1
-			acc := b.wearAcc[wi*8 : wi*8+8 : wi*8+8]
-			acc[0] += spread8(w)
-			acc[1] += spread8(w >> 8)
-			acc[2] += spread8(w >> 16)
-			acc[3] += spread8(w >> 24)
-			acc[4] += spread8(w >> 32)
-			acc[5] += spread8(w >> 40)
-			acc[6] += spread8(w >> 48)
-			acc[7] += spread8(w >> 56)
-			return 0
-		}
-		b.flushWearWord(wi)
-		life := b.life[base : base+64 : base+64]
-		var died uint64
-		for w != 0 {
-			bit := bits.TrailingZeros64(w) & 63
-			w &= w - 1
-			l := life[bit] - 1
-			life[bit] = l
-			if l == 0 {
-				died |= 1 << uint(bit)
-			}
-		}
-		b.recomputeGuard(wi)
-		if died != 0 {
-			b.stats.NewFaults += int64(bits.OnesCount64(died))
-		}
-		return died
+	k := b.k
+	planes := b.planes[wi*k : wi*k+k : wi*k+k]
+	q := (*[8]uint64)(planes)
+	t := q[0]
+	q[0], w = t^w, w&^t
+	t = q[1]
+	q[1], w = t^w, w&^t
+	t = q[2]
+	q[2], w = t^w, w&^t
+	t = q[3]
+	q[3], w = t^w, w&^t
+	t = q[4]
+	q[4], w = t^w, w&^t
+	t = q[5]
+	q[5], w = t^w, w&^t
+	t = q[6]
+	q[6], w = t^w, w&^t
+	t = q[7]
+	q[7], w = t^w, w&^t
+	for p := 8; p < len(planes) && w != 0; p++ {
+		t := planes[p]
+		planes[p] = t ^ w
+		w &^= t
 	}
-	life := b.life
-	var died uint64
-	for w != 0 {
-		bit := bits.TrailingZeros64(w)
-		w &= w - 1
-		l := life[base+bit]
-		if l < 0 {
-			continue // immortal
-		}
-		l--
-		life[base+bit] = l
-		if l == 0 {
-			died |= 1 << uint(bit)
-		}
+	if w != 0 {
+		b.mortal[wi] &^= w
+		b.stats.NewFaults += int64(bits.OnesCount64(w))
 	}
-	if died != 0 {
-		b.stats.NewFaults += int64(bits.OnesCount64(died))
-	}
-	return died
-}
-
-// flushWearWord folds word wi's accumulated pulse counts into the
-// per-cell lifetimes.  The guard invariant guarantees none of the
-// flushed pulses could have killed a cell.
-func (b *Block) flushWearWord(wi int) {
-	acc := b.wearAcc[wi*8 : wi*8+8 : wi*8+8]
-	life := b.life[wi*64 : wi*64+64 : wi*64+64]
-	for bi, a := range acc {
-		if a == 0 {
-			continue
-		}
-		acc[bi] = 0
-		base := bi * 8
-		for k := 7; a != 0; k-- {
-			if d := int32(a & 0xff); d != 0 {
-				life[base+k] -= d
-			}
-			a >>= 8
-		}
-	}
-}
-
-// flushWear settles every pending batched pulse so that b.life holds
-// exact values.  Accessors that expose lifetimes call it first.
-func (b *Block) flushWear() {
-	for wi := range b.wearGuard {
-		b.flushWearWord(wi)
-	}
-}
-
-// recomputeGuard re-arms word wi's wear guard from its current
-// lifetimes: the number of calls the word can absorb before the
-// shortest-lived healthy cell could die, capped at the byte-lane
-// capacity.  Cells at 0 are dead (stuck masks keep them out of future
-// wear words), negative cells cannot occur on the allPositive path.
-func (b *Block) recomputeGuard(wi int) {
-	life := b.life[wi*64 : wi*64+64 : wi*64+64]
-	g := int32(255)
-	for _, l := range life {
-		if l > 0 && l < g {
-			g = l
-		}
-	}
-	b.wearGuard[wi] = g
+	return w
 }
 
 // BeginRequest switches the block into request-scoped wear until the
@@ -365,7 +308,9 @@ func (b *Block) EndRequest() int {
 			continue
 		}
 		pulses += bits.OnesCount64(changed)
-		kw[wi] |= b.wearWord(wi, changed)
+		if m := changed & b.mortal[wi]; m != 0 {
+			kw[wi] |= b.wearWord(wi, m)
+		}
 	}
 	b.inRequest = false
 	return pulses
@@ -438,35 +383,28 @@ func (b *Block) InjectFault(i int, v bool) {
 	if i < 0 || i >= b.n {
 		panic(fmt.Sprintf("pcm: InjectFault index %d out of range", i))
 	}
-	b.flushWear()
 	if !b.stuck.Get(i) {
 		b.stats.NewFaults++
 	}
 	b.stuck.Set(i, true)
 	b.stored.Set(i, v)
-	b.life[i] = 0
+	b.mortal[i/64] &^= 1 << uint(i%64)
 }
 
-// RemainingLife returns cell i's remaining endurance budget (-1 when the
-// cell is immortal).  Exposed for tests and wear analyses.
+// RemainingLife returns cell i's remaining endurance budget: 0 once
+// stuck, -1 when the cell is immortal (the counter plus one otherwise).  Exposed for tests and wear
+// analyses.
 func (b *Block) RemainingLife(i int) int32 {
-	b.flushWear()
-	return b.life[i]
-}
-
-// MinRemainingLife returns the smallest remaining endurance across healthy
-// cells, or -1 if every cell is stuck or immortal.  Device simulations use
-// it to fast-forward over write intervals in which no new fault can occur.
-func (b *Block) MinRemainingLife() int32 {
-	b.flushWear()
-	min := int32(-1)
-	for i, l := range b.life {
-		if l <= 0 || b.stuck.Get(i) {
-			continue
-		}
-		if min < 0 || l < min {
-			min = l
-		}
+	wi, bit := i/64, uint(i%64)
+	switch {
+	case b.stuck.Get(i):
+		return 0
+	case b.mortal[wi]>>bit&1 == 0:
+		return -1
 	}
-	return min
+	var c int32
+	for p, t := range b.planes[wi*b.k : wi*b.k+b.k] {
+		c |= int32(t>>bit&1) << uint(p)
+	}
+	return c + 1
 }

@@ -166,27 +166,6 @@ func TestStuckMask(t *testing.T) {
 	}
 }
 
-func TestMinRemainingLife(t *testing.T) {
-	rng := xrand.New(4)
-	b := NewBlock(16, dist.Fixed(5), rng)
-	if got := b.MinRemainingLife(); got != 5 {
-		t.Fatalf("MinRemainingLife = %d, want 5", got)
-	}
-	// Wear one cell down by writing patterns that flip only bit 0.
-	d := bitvec.New(16)
-	for i := 0; i < 4; i++ {
-		d.Flip(0)
-		b.WriteRaw(d)
-	}
-	if got := b.MinRemainingLife(); got != 1 {
-		t.Fatalf("MinRemainingLife after 4 pulses = %d, want 1", got)
-	}
-	im := NewImmortalBlock(4)
-	if got := im.MinRemainingLife(); got != -1 {
-		t.Fatalf("immortal MinRemainingLife = %d, want -1", got)
-	}
-}
-
 func TestLifetimeDistributionRoughMean(t *testing.T) {
 	rng := xrand.New(5)
 	d := dist.NewNormal(1000)
@@ -279,5 +258,44 @@ func BenchmarkWriteRaw512(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		blk.WriteRaw(data[i%len(data)])
+	}
+}
+
+// BenchmarkRequestWrite512 times one request-scoped write of random data
+// into a 512-bit block, wear settle included, the unit of every page
+// study.  A block is reset (untimed) once a quarter of its cells are
+// stuck, so short lifetimes measure live blocks rather than dead ones.
+func BenchmarkRequestWrite512(b *testing.B) {
+	cases := []struct {
+		name string
+		life dist.Lifetime
+	}{
+		{"MeanLife=50", dist.NewNormal(50)},
+		{"MeanLife=600", dist.NewNormal(600)},
+		{"MeanLife=2000", dist.NewNormal(2000)},
+		{"MeanLife=20000", dist.NewNormal(20000)},
+		{"MeanLife=1e8", dist.NewNormal(1e8)},
+		{"Immortal", dist.Immortal{}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			rng := xrand.New(1)
+			blk := NewBlock(512, c.life, rng)
+			data := make([]*bitvec.Vector, 16)
+			for i := range data {
+				data[i] = bitvec.Random(512, rng)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				blk.BeginRequest()
+				blk.WriteRaw(data[i%len(data)])
+				blk.EndRequest()
+				if blk.FaultCount() > 512/4 {
+					b.StopTimer()
+					blk.Reset(c.life, rng)
+					b.StartTimer()
+				}
+			}
+		})
 	}
 }
