@@ -24,7 +24,8 @@ test-short:
 test-race:
 	$(GO) test -race -short ./internal/sim/ ./internal/pcm/ ./internal/core/ \
 		./internal/ecp/ ./internal/aegisrw/ \
-		./internal/experiments/ ./internal/device/ ./internal/obs/ \
+		./internal/experiments/ ./internal/device/ ./internal/freep/ \
+		./internal/payg/ ./internal/obs/ \
 		./internal/engine/ ./internal/plane/ ./internal/bitvec/ \
 		./internal/serve/ ./internal/cluster/ ./cmd/aegisd/
 

@@ -95,10 +95,19 @@ func writeSeriesCSV(w io.Writer, series []stats.Series) error {
 	return cw.Error()
 }
 
+// expUsage is the -exp flag's usage text.  It names every id
+// experiments.Run accepts: the paper experiments, the extensions and
+// the two aggregates.
+func expUsage() string {
+	return "experiment to run: " + strings.Join(experiments.IDs, ", ") +
+		"; extensions: " + strings.Join(experiments.AblationIDs, ", ") +
+		"; or all (every paper experiment) or extensions (every extension)"
+}
+
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("aegisbench", flag.ContinueOnError)
 	var (
-		exp        = fs.String("exp", "all", "experiment to run: "+strings.Join(experiments.IDs, ", ")+", or all")
+		exp        = fs.String("exp", "all", expUsage())
 		preset     = fs.String("preset", "default", "effort preset: quick, default, full")
 		seed       = fs.Int64("seed", 0, "override the preset's RNG seed (0 = keep preset seed)")
 		workers    = fs.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
@@ -127,11 +136,13 @@ func run(args []string, out *os.File) error {
 		for _, id := range experiments.IDs {
 			fmt.Fprintf(out, "  %s\n", id)
 		}
-		fmt.Fprintln(out, "ablations:")
+		fmt.Fprintln(out, "extensions:")
 		for _, id := range experiments.AblationIDs {
 			fmt.Fprintf(out, "  %s\n", id)
 		}
-		fmt.Fprintln(out, "  all  (every paper experiment)")
+		fmt.Fprintln(out, "aggregates:")
+		fmt.Fprintln(out, "  all         (every paper experiment)")
+		fmt.Fprintln(out, "  extensions  (every extension)")
 		return nil
 	}
 

@@ -7,9 +7,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"aegis/internal/experiments"
 	"aegis/internal/obs"
 )
 
@@ -39,6 +41,26 @@ func TestList(t *testing.T) {
 	for _, id := range []string{"table1", "fig5", "fig13", "ablation-wear"} {
 		if !strings.Contains(out, id) {
 			t.Fatalf("list output missing %q:\n%s", id, out)
+		}
+	}
+}
+
+// TestUsageNamesEveryID checks that the -exp usage text and the -list
+// output name every id experiments.Run accepts.
+func TestUsageNamesEveryID(t *testing.T) {
+	list, err := capture(t, []string{"-list"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	usage := strings.FieldsFunc(expUsage(), func(r rune) bool { return strings.ContainsRune(" ,;:()", r) })
+	listed := strings.Fields(list)
+	ids := append(append([]string{"all", "extensions"}, experiments.IDs...), experiments.AblationIDs...)
+	for _, id := range ids {
+		if !slices.Contains(usage, id) {
+			t.Errorf("-exp usage does not name %q: %s", id, expUsage())
+		}
+		if !slices.Contains(listed, id) {
+			t.Errorf("-list does not name %q:\n%s", id, list)
 		}
 	}
 }

@@ -12,7 +12,6 @@
 package device
 
 import (
-	"aegis/internal/xrand"
 	"fmt"
 
 	"aegis/internal/bitvec"
@@ -20,8 +19,10 @@ import (
 	"aegis/internal/osmem"
 	"aegis/internal/pcm"
 	"aegis/internal/scheme"
+	"aegis/internal/sim"
 	"aegis/internal/wearlevel"
 	"aegis/internal/workload"
+	"aegis/internal/xrand"
 )
 
 // Config assembles a device.
@@ -146,12 +147,8 @@ func (d *Device) TotalFaults() int {
 // writeBlock performs one scheme write under request-scoped wear,
 // reporting whether the block survived.
 func (d *Device) writeBlock(pg, b int) bool {
-	randomize(d.data, d.rng)
-	blk := d.blocks[pg][b]
-	blk.BeginRequest()
-	err := d.schemes[pg][b].Write(blk, d.data)
-	blk.EndRequest()
-	if err != nil {
+	bitvec.RandomInto(d.data, d.rng)
+	if err := sim.WriteRequest(d.schemes[pg][b], d.blocks[pg][b], d.data); err != nil {
 		d.pool.FailBlock(pg, b)
 		return false
 	}
@@ -254,12 +251,4 @@ func (d *Device) Run(stopFraction float64) int64 {
 		}
 	}
 	return d.stats.LogicalWrites
-}
-
-func randomize(data *bitvec.Vector, rng *xrand.Rand) {
-	words := data.Words()
-	rng.Fill(words)
-	if r := data.Len() % 64; r != 0 {
-		words[len(words)-1] &= (uint64(1) << uint(r)) - 1
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"aegis/internal/freep"
 	"aegis/internal/report"
 	"aegis/internal/scheme"
+	"aegis/internal/sim"
 	"aegis/internal/stats"
 )
 
@@ -18,7 +19,7 @@ import (
 // claim that a strong first line of defense "substantially delays the
 // re-direction" should show up as Aegis-without-spares beating
 // weaker-scheme-plus-spares at comparable or lower total overhead.
-func FreeP(p Params) *report.Table {
+func FreeP(p Params) (*report.Table, error) {
 	const (
 		blockBits = 512
 		nBlocks   = 16 // quarter page keeps the sweep fast; trends match 64
@@ -47,25 +48,26 @@ func FreeP(p Params) *report.Table {
 		},
 	}
 	for _, c := range combos {
-		var lifetimes, redirs []int64
-		for trial := 0; trial < p.PageTrials; trial++ {
-			rng := trialRNGLocal(p.schemeSeed(fmt.Sprintf("freep-%s-%d", c.f.Name(), c.spares)), trial)
-			res, err := freep.SimulatePage(nBlocks, blockBits, c.spares, c.f, p.MeanLife, p.CoV, rng)
-			if err != nil {
-				panic(err)
-			}
-			lifetimes = append(lifetimes, res.Lifetime)
-			redirs = append(redirs, int64(res.Redirections))
+		ff, err := freep.NewFactory(c.f, c.spares)
+		if err != nil {
+			return nil, err
+		}
+		cfg := p.simConfig(blockBits, p.PageTrials)
+		cfg.PageBytes = nBlocks * blockBits / 8
+		cfg.Seed = p.schemeSeed(fmt.Sprintf("freep-%s-%d", c.f.Name(), c.spares))
+		rs, err := p.Engine.Pages(ff, cfg)
+		if err != nil {
+			return nil, err
 		}
 		overhead := c.f.OverheadBits()*nBlocks + freep.OverheadBits(blockBits, c.f.OverheadBits(), c.spares)
-		life := stats.SummarizeInts(lifetimes).Mean
+		life := stats.SummarizeInts(sim.Lifetimes(rs)).Mean
 		t.AddRow(
 			fmt.Sprintf("%s + %d spares", c.f.Name(), c.spares),
 			report.Itoa(overhead),
 			report.Ftoa(life),
-			report.Ftoa(stats.SummarizeInts(redirs).Mean),
+			report.Ftoa(stats.SummarizeInts(sim.Spent(rs)).Mean),
 			fmt.Sprintf("%.3f", life/float64(overhead)),
 		)
 	}
-	return t
+	return t, nil
 }

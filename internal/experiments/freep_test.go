@@ -8,7 +8,10 @@ import (
 func TestFreePSchemeBeatsSpares(t *testing.T) {
 	p := tiny()
 	p.PageTrials = 4
-	tbl := FreeP(p)
+	tbl, err := FreeP(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tbl.Rows) != 8 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}

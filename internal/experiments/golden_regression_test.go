@@ -72,37 +72,7 @@ func goldenConfig() sim.Config {
 // — and compares summary metrics against the checked-in golden file.
 // A legitimate behaviour change regenerates it with -update.
 func TestGoldenRegression(t *testing.T) {
-	eng := &engine.Engine{Shards: 3}
-	cfg := goldenConfig()
-	got := goldenFile{Schema: goldenSchema, Config: cfg, Schemes: map[string]goldenMetrics{}}
-	for _, f := range goldenRoster() {
-		pcfg := cfg
-		pcfg.Seed = Params{Seed: cfg.Seed}.schemeSeed(f.Name())
-		pages, err := eng.Pages(f, pcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bcfg := pcfg
-		bcfg.Trials = 24
-		blocks, err := eng.Blocks(f, bcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m goldenMetrics
-		for _, r := range pages {
-			m.PageLifetimeMean += float64(r.Lifetime)
-			m.RecoveredFaultsMean += float64(r.RecoveredFaults)
-		}
-		m.PageLifetimeMean /= float64(len(pages))
-		m.RecoveredFaultsMean /= float64(len(pages))
-		for _, r := range blocks {
-			m.BlockLifetimeMean += float64(r.Lifetime)
-			m.FaultsAtDeathMean += float64(r.FaultsAtDeath)
-		}
-		m.BlockLifetimeMean /= float64(len(blocks))
-		m.FaultsAtDeathMean /= float64(len(blocks))
-		got.Schemes[f.Name()] = m
-	}
+	got := goldenFile{Schema: goldenSchema, Config: goldenConfig(), Schemes: goldenRun(t, &engine.Engine{Shards: 3}, 0)}
 
 	path := filepath.Join("testdata", "golden_quick.json")
 	if *update {

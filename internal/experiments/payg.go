@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"aegis/internal/xrand"
 	"fmt"
 
 	"aegis/internal/core"
@@ -81,43 +80,23 @@ func PAYG(p Params) (*report.Table, error) {
 			if slots < 0 {
 				slots = 0
 			}
-			cfg := payg.PageConfig{
-				BlockBits:  blockBits,
-				Blocks:     blocks,
-				LECEntries: 1,
-				GECSlots:   slots,
-				MeanLife:   p.MeanLife,
-				CoV:        p.CoV,
+			pf, err := payg.NewFactory(blockBits, 1, slots, gecFactory)
+			if err != nil {
+				return nil, err
 			}
-			var lifetimes, faults, used []int64
-			for trial := 0; trial < p.PageTrials; trial++ {
-				rng := trialRNGLocal(p.schemeSeed("payg-pool-"+uf.Name()+gecFactory.Name()), trial)
-				res, err := payg.SimulatePage(cfg, gecFactory, rng)
-				if err != nil {
-					panic(err)
-				}
-				lifetimes = append(lifetimes, res.Lifetime)
-				faults = append(faults, int64(res.RecoveredFaults))
-				used = append(used, int64(res.PoolUsed))
+			simCfg.Seed = p.schemeSeed("payg-pool-" + uf.Name() + gecFactory.Name())
+			rs, err := p.Engine.Pages(pf, simCfg)
+			if err != nil {
+				return nil, err
 			}
 			t.AddRow(
 				fmt.Sprintf("PAYG ECP1 + %d×%s", slots, gecFactory.Name()),
 				report.Itoa(lecBits*blocks+slots*sb),
-				report.Ftoa(stats.SummarizeInts(lifetimes).Mean),
-				report.Ftoa(stats.SummarizeInts(faults).Mean),
-				fmt.Sprintf("%.1f/%d", stats.SummarizeInts(used).Mean, slots),
+				report.Ftoa(stats.SummarizeInts(sim.Lifetimes(rs)).Mean),
+				report.Ftoa(stats.SummarizeInts(sim.RecoveredFaults(rs)).Mean),
+				fmt.Sprintf("%.1f/%d", stats.SummarizeInts(sim.Spent(rs)).Mean, slots),
 			)
 		}
 	}
 	return t, nil
-}
-
-// trialRNGLocal mirrors sim's deterministic per-trial seeding for the
-// PAYG page loop, which manages its own pool per page.
-func trialRNGLocal(seed int64, trial int) *xrand.Rand {
-	h := uint64(seed)*0x9e3779b97f4a7c15 + uint64(trial+1)*0xbf58476d1ce4e5b9
-	h ^= h >> 31
-	h *= 0x94d049bb133111eb
-	h ^= h >> 27
-	return xrand.New(int64(h))
 }

@@ -103,7 +103,7 @@ func Run(id string, p Params) (Result, error) {
 	case "memblock":
 		return tableResult(MemBlock(p))
 	case "freep":
-		return Result{Tables: []*report.Table{FreeP(p)}}, nil
+		return tableResult(FreeP(p))
 	case "all":
 		return RunAll(p)
 	case "extensions":

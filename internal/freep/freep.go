@@ -14,150 +14,100 @@
 package freep
 
 import (
-	"aegis/internal/xrand"
 	"fmt"
 
-	"aegis/internal/bitvec"
-	"aegis/internal/dist"
 	"aegis/internal/pcm"
 	"aegis/internal/plane"
 	"aegis/internal/scheme"
+	"aegis/internal/sim"
 )
 
 // pointerRedundancy is the modular redundancy FREE-p writes the embedded
 // pointer with (the FREE-p paper uses 7-way voting).
 const pointerRedundancy = 7
 
-// Manager tracks the remapping state of one page: which primary blocks
-// have been redirected and how many spares remain.
-type Manager struct {
-	blockBits int
-	spares    int
-	used      int
-	// remapped[i] counts how many times primary slot i was redirected
-	// (a spare can itself die and chain to another spare).
-	remapped []int
-	// chainWrites counts pointer-embedding writes.
-	chainWrites int64
+// Factory configures FREE-p pages: every block is protected by an
+// in-block scheme, and each page holds a budget of spare blocks.  It is
+// a sim.PageFactory, so sim.Pages (and through it the shard engine)
+// runs FREE-p pages: when a block's scheme gives up, the page redirects
+// it to a fresh spare (unworn cells, fresh scheme instance) and the
+// write retries there, as FREE-p's nearly-free read path implies.
+type Factory struct {
+	inner  scheme.Factory
+	spares int
 }
 
-// NewManager returns a FREE-p manager for a page of nBlocks primary
-// blocks with the given spare budget.
-func NewManager(nBlocks, blockBits, spares int) (*Manager, error) {
-	if nBlocks <= 0 || blockBits <= 0 || spares < 0 {
-		return nil, fmt.Errorf("freep: bad geometry (%d blocks, %d bits, %d spares)", nBlocks, blockBits, spares)
+var _ sim.PageFactory = (*Factory)(nil)
+
+// NewFactory returns the FREE-p configuration of inner-protected blocks
+// with spares spare blocks per page.
+func NewFactory(inner scheme.Factory, spares int) (*Factory, error) {
+	if inner == nil {
+		return nil, fmt.Errorf("freep: no in-block scheme")
 	}
-	return &Manager{
-		blockBits: blockBits,
-		spares:    spares,
-		remapped:  make([]int, nBlocks),
-	}, nil
+	if spares < 0 {
+		return nil, fmt.Errorf("freep: negative spare budget %d", spares)
+	}
+	return &Factory{inner: inner, spares: spares}, nil
 }
 
-// SparesLeft returns the remaining spare budget.
-func (m *Manager) SparesLeft() int { return m.spares - m.used }
+// Name implements scheme.Factory.  It names the spare budget, which
+// changes results, so shard keys of different budgets never collide.
+func (f *Factory) Name() string {
+	return fmt.Sprintf("FREE-p[%s+%d spares]", f.inner.Name(), f.spares)
+}
 
-// Remaps returns how many redirections slot i has accumulated.
-func (m *Manager) Remaps(i int) int { return m.remapped[i] }
+// BlockBits implements scheme.Factory.
+func (f *Factory) BlockBits() int { return f.inner.BlockBits() }
 
-// ChainWrites returns the pointer-embedding writes performed.
-func (m *Manager) ChainWrites() int64 { return m.chainWrites }
+// OverheadBits implements scheme.Factory: the in-block scheme's bits.
+// Spares are a page-level cost (see OverheadBits).
+func (f *Factory) OverheadBits() int { return f.inner.OverheadBits() }
+
+// New implements scheme.Factory with the in-block scheme alone: a block
+// outside a page has no spares to redirect to.
+func (f *Factory) New() scheme.Scheme { return f.inner.New() }
+
+// NewPage implements sim.PageFactory.
+func (f *Factory) NewPage() sim.Page { return &page{inner: f.inner, spares: f.spares} }
+
+// page is the remapping state of one page: its in-block scheme and how
+// many of its spares are in use.
+type page struct {
+	inner  scheme.Factory
+	spares int
+	used   int
+}
+
+// New implements sim.Page: the in-block scheme.
+func (p *page) New() scheme.Scheme { return p.inner.New() }
+
+// Spare implements sim.Page: it consumes a spare for the dead block,
+// embedding the redirection pointer in it.  It reports false when no
+// spare remains or the pointer cannot be stored.
+func (p *page) Spare(dead *pcm.Block) bool {
+	if p.used >= p.spares || !PointerStorable(dead) {
+		return false
+	}
+	p.used++
+	return true
+}
+
+// Spent implements sim.Page: the spares activated so far.
+func (p *page) Spent() int { return p.used }
 
 // PointerStorable reports whether the dead block has enough healthy
 // cells to hold the redirection pointer with full redundancy — FREE-p's
 // feasibility condition.  Blocks die with a few dozen stuck cells out of
 // hundreds, so this essentially always holds; it is checked, not
 // assumed.
-func (m *Manager) PointerStorable(blk *pcm.Block) bool {
-	need := pointerRedundancy * (plane.CeilLog2(m.blockBits) + 1)
+func PointerStorable(blk *pcm.Block) bool {
+	need := pointerRedundancy * (plane.CeilLog2(blk.Size()) + 1)
 	return blk.Size()-blk.FaultCount() >= need
-}
-
-// Redirect consumes a spare for primary slot i, embedding the pointer in
-// the dead block.  It reports false when no spare remains or the pointer
-// cannot be stored.
-func (m *Manager) Redirect(i int, dead *pcm.Block) bool {
-	if m.used >= m.spares || !m.PointerStorable(dead) {
-		return false
-	}
-	m.used++
-	m.remapped[i]++
-	m.chainWrites++
-	return true
 }
 
 // OverheadBits returns the page-level cost of the spare provisioning:
 // each spare is a full data block plus its scheme's overhead bits.
 func OverheadBits(blockBits, schemeOverhead, spares int) int {
 	return spares * (blockBits + schemeOverhead)
-}
-
-// PageResult describes one FREE-p page written to death.
-type PageResult struct {
-	// Lifetime is the number of successful page writes.
-	Lifetime int64
-	// Redirections is the number of spare activations.
-	Redirections int
-}
-
-// SimulatePage writes random data into a page of scheme-protected blocks
-// until a block dies with no spare left.  A dying block is redirected to
-// a fresh spare block (unworn cells, fresh scheme instance) and the write
-// retries there, as FREE-p's nearly-free read path implies.  Wear is
-// request-scoped, as everywhere in this repository.
-func SimulatePage(nBlocks, blockBits, spares int, f scheme.Factory, meanLife, cov float64, rng *xrand.Rand) (PageResult, error) {
-	m, err := NewManager(nBlocks, blockBits, spares)
-	if err != nil {
-		return PageResult{}, err
-	}
-	ld := dist.Normal{MeanLife: meanLife, CoV: cov}
-	blocks := make([]*pcm.Block, nBlocks)
-	schemes := make([]scheme.Scheme, nBlocks)
-	for i := range blocks {
-		blocks[i] = pcm.NewBlock(blockBits, ld, rng)
-		schemes[i] = f.New()
-	}
-	data := bitvec.New(blockBits)
-	var writes int64
-	for {
-		alive := true
-		for i := range blocks {
-			randomize(data, rng)
-			for {
-				blocks[i].BeginRequest()
-				err := schemes[i].Write(blocks[i], data)
-				blocks[i].EndRequest()
-				if err == nil {
-					break
-				}
-				if !m.Redirect(i, blocks[i]) {
-					alive = false
-					break
-				}
-				// Spare activated: fresh cells, fresh scheme; retry.
-				blocks[i] = pcm.NewBlock(blockBits, ld, rng)
-				schemes[i] = f.New()
-			}
-			if !alive {
-				break
-			}
-		}
-		if !alive {
-			break
-		}
-		writes++
-	}
-	redirs := 0
-	for i := range blocks {
-		redirs += m.Remaps(i)
-	}
-	return PageResult{Lifetime: writes, Redirections: redirs}, nil
-}
-
-func randomize(data *bitvec.Vector, rng *xrand.Rand) {
-	words := data.Words()
-	rng.Fill(words)
-	if r := data.Len() % 64; r != 0 {
-		words[len(words)-1] &= (uint64(1) << uint(r)) - 1
-	}
 }

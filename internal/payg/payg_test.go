@@ -7,8 +7,10 @@ import (
 
 	"aegis/internal/bitvec"
 	"aegis/internal/core"
+	"aegis/internal/ecp"
 	"aegis/internal/pcm"
 	"aegis/internal/scheme"
+	"aegis/internal/sim"
 )
 
 func TestPool(t *testing.T) {
@@ -151,35 +153,111 @@ func TestOverheadIsLECOnly(t *testing.T) {
 	}
 }
 
-func TestSimulatePagePAYGBeatsPureLEC(t *testing.T) {
-	cfg := PageConfig{
-		BlockBits:  512,
-		Blocks:     32,
-		LECEntries: 1,
-		MeanLife:   400,
-		CoV:        0.25,
+func TestNewFactoryValidation(t *testing.T) {
+	if _, err := NewFactory(256, 1, 4, core.MustFactory(512, 61)); err == nil {
+		t.Fatal("mismatched GEC block size accepted")
 	}
-	gec := core.MustFactory(512, 61)
-	rng := xrand.New(3)
+	if _, err := NewFactory(512, -1, 4, core.MustFactory(512, 61)); err == nil {
+		t.Fatal("negative LEC entries accepted")
+	}
+	if _, err := NewFactory(512, 1, -1, core.MustFactory(512, 61)); err == nil {
+		t.Fatal("negative pool accepted")
+	}
+}
 
-	cfg.GECSlots = 0
-	lecOnly, err := SimulatePage(cfg, gec, rng)
+func TestFactoryNameEncodesPool(t *testing.T) {
+	a := mustFactory(t, 8)
+	b := mustFactory(t, 9)
+	if a.Name() == b.Name() {
+		t.Fatalf("pool sizes share the name %q", a.Name())
+	}
+	if got := a.New().Name(); got != a.Name() {
+		t.Fatalf("block name %q, factory name %q", got, a.Name())
+	}
+	if a.OverheadBits() != 11 || a.BlockBits() != 512 {
+		t.Fatalf("geometry: %d bits, %d overhead", a.BlockBits(), a.OverheadBits())
+	}
+}
+
+// pageConfig is a small page study: 32 × 512-bit blocks, short lives.
+func pageConfig() sim.Config {
+	return sim.Config{BlockBits: 512, PageBytes: 2048, MeanLife: 400, CoV: 0.25, Trials: 3, Seed: 3, Workers: 2}
+}
+
+func mustFactory(t *testing.T, slots int) *Factory {
+	t.Helper()
+	f, err := NewFactory(512, 1, slots, core.MustFactory(512, 61))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.GECSlots = 8
-	rng = xrand.New(3)
-	withGEC, err := SimulatePage(cfg, gec, rng)
-	if err != nil {
-		t.Fatal(err)
+	return f
+}
+
+func TestGECSlotsBeatPureLEC(t *testing.T) {
+	lecOnly := sim.Pages(mustFactory(t, 0), pageConfig())
+	withGEC := sim.Pages(mustFactory(t, 8), pageConfig())
+	for i := range withGEC {
+		if withGEC[i].Lifetime <= lecOnly[i].Lifetime {
+			t.Fatalf("trial %d: GEC slots did not extend the page: %d vs %d", i, withGEC[i].Lifetime, lecOnly[i].Lifetime)
+		}
+		if withGEC[i].Spent == 0 || lecOnly[i].Spent != 0 {
+			t.Fatalf("trial %d: slots used %d with a pool, %d without", i, withGEC[i].Spent, lecOnly[i].Spent)
+		}
 	}
-	if withGEC.Lifetime <= lecOnly.Lifetime {
-		t.Fatalf("GEC slots did not extend the page: %d vs %d", withGEC.Lifetime, lecOnly.Lifetime)
+}
+
+// recordingFactory keeps every block its pages build, so a test can
+// inspect them after sim.Pages has run.
+type recordingFactory struct {
+	*Factory
+	blocks []*Block
+}
+
+func (r *recordingFactory) NewPage() sim.Page {
+	return &recordingPage{Page: r.Factory.NewPage(), r: r}
+}
+
+type recordingPage struct {
+	sim.Page
+	r *recordingFactory
+}
+
+func (p *recordingPage) New() scheme.Scheme {
+	b := p.Page.New().(*Block)
+	p.r.blocks = append(p.r.blocks, b)
+	return b
+}
+
+func TestSlotsUsedEqualEscalatedBlocks(t *testing.T) {
+	rec := &recordingFactory{Factory: mustFactory(t, 8)}
+	cfg := pageConfig()
+	cfg.Trials = 1
+	cfg.Workers = 1 // rec is not safe for concurrent pages
+	rs := sim.Pages(rec, cfg)
+	if len(rec.blocks) != cfg.BlocksPerPage() {
+		t.Fatalf("page built %d blocks, want %d", len(rec.blocks), cfg.BlocksPerPage())
 	}
-	if withGEC.PoolUsed == 0 || withGEC.Escalated == 0 {
-		t.Fatalf("no escalations recorded: %+v", withGEC)
+	escalated := 0
+	for _, b := range rec.blocks {
+		if b.Escalated() {
+			escalated++
+		}
 	}
-	if withGEC.PoolUsed != withGEC.Escalated {
-		t.Fatalf("pool used (%d) != escalated blocks (%d)", withGEC.PoolUsed, withGEC.Escalated)
+	if escalated == 0 || rs[0].Spent != escalated {
+		t.Fatalf("slots used (%d) != escalated blocks (%d)", rs[0].Spent, escalated)
+	}
+}
+
+// TestZeroSlotsIsECP1 pins the page hook's neutrality: with an empty
+// pool, a PAYG page is an ECP1 page, trial by trial.
+func TestZeroSlotsIsECP1(t *testing.T) {
+	cfg := pageConfig()
+	cfg.Trials = 6
+	want := sim.Pages(ecp.MustFactory(512, 1), cfg)
+	got := sim.Pages(mustFactory(t, 0), cfg)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("trial %d: PAYG with no slots %+v, ECP1 %+v", i, got[i], want[i])
+		}
 	}
 }

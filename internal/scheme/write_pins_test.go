@@ -22,6 +22,7 @@ import (
 	"aegis/internal/rdis"
 	"aegis/internal/safer"
 	"aegis/internal/scheme"
+	"aegis/internal/sim"
 	"aegis/internal/xrand"
 )
 
@@ -119,9 +120,7 @@ func runPinTrial(t *testing.T, s scheme.Scheme, mode string, seed int64) pinTria
 		bitvec.RandomInto(data, rng)
 		var err error
 		if mode == "request" {
-			blk.BeginRequest()
-			err = s.Write(blk, data)
-			blk.EndRequest()
+			err = sim.WriteRequest(s, blk, data)
 		} else {
 			err = s.Write(blk, data)
 		}

@@ -155,10 +155,16 @@ type trialScratch struct {
 	rng xrand.Rand
 }
 
+// constructor builds per-block scheme instances: a scheme.Factory, or
+// the Page of a PageFactory's trial.
+type constructor interface {
+	New() scheme.Scheme
+}
+
 // scheme returns the worker's reusable scheme instance for block slot i
 // of the current trial, resetting the previous trial's instance when
 // the scheme supports it and constructing a fresh one otherwise.
-func (ts *trialScratch) scheme(f scheme.Factory, i int) scheme.Scheme {
+func (ts *trialScratch) scheme(f constructor, i int) scheme.Scheme {
 	for len(ts.schemes) <= i {
 		ts.schemes = append(ts.schemes, nil)
 	}
@@ -387,7 +393,7 @@ func blocksScalar(f scheme.Factory, cfg Config, results []BlockResult) {
 		var writes int64
 		died := false
 		for cfg.MaxWrites == 0 || writes < cfg.MaxWrites {
-			randomize(data, rng)
+			bitvec.RandomInto(data, rng)
 			if err := writeRequest(cfg, s, blk, data); err != nil {
 				died = true
 				break
@@ -424,6 +430,32 @@ type PageResult struct {
 	// blocks when the first unrecoverable block killed it — the paper's
 	// "average number of recoverable faults in a 4KB page" (Figure 5).
 	RecoveredFaults int `json:"recovered_faults"`
+	// Spent is what a PageFactory's page used up of its page-level
+	// budget (Page.Spent) by the time it died; always 0, and omitted
+	// from the JSON, for ordinary schemes.
+	Spent int `json:"spent,omitempty"`
+}
+
+// PageFactory is an optional interface of scheme factories whose
+// blocks share page-level state — a spare-block budget (FREE-p) or a
+// pool of escalation slots (PAYG).  The page loop asks for one Page per
+// page trial and builds every block's scheme from it.
+type PageFactory interface {
+	scheme.Factory
+	NewPage() Page
+}
+
+// Page is the shared state of one page trial.
+type Page interface {
+	// New returns a scheme instance for one of the page's blocks.
+	New() scheme.Scheme
+	// Spare is asked only after a block's write request failed.  True
+	// means the page replaces the dead block: the loop resets the
+	// block's slot with fresh cells (drawn from the trial RNG exactly as
+	// pcm.NewBlock draws) and a fresh scheme, and retries the same data.
+	Spare(dead *pcm.Block) bool
+	// Spent counts what the page has used up of its budget.
+	Spent() int
 }
 
 // Pages simulates cfg.Trials independent 4 KB pages under the given
@@ -441,17 +473,25 @@ func Pages(f scheme.Factory, cfg Config) []PageResult {
 }
 
 // pagesScalar is the scalar Pages loop, filling results[trial] for
-// run-local trials of cfg.
+// run-local trials of cfg.  It is the only page write loop for scalar
+// schemes, PageFactory pages included.
 func pagesScalar(f scheme.Factory, cfg Config, results []PageResult) {
 	sc := cfg.counters(f)
 	h := cfg.histograms(f)
 	name := f.Name()
 	life := cfg.lifetime()
+	pf, _ := f.(PageFactory)
 	forEachTrial(cfg, func(trial int, rng *xrand.Rand, ts *trialScratch) {
+		var ctor constructor = f
+		var page Page
+		if pf != nil {
+			page = pf.NewPage()
+			ctor = page
+		}
 		nBlocks := cfg.BlocksPerPage()
 		for i := 0; i < nBlocks; i++ {
 			ts.block(cfg.BlockBits, life, rng, i)
-			cfg.attachTracer(ts.scheme(f, i), name, trial, h)
+			cfg.attachTracer(ts.scheme(ctor, i), name, trial, h)
 		}
 		blocks := ts.blocks[:nBlocks]
 		schemes := ts.schemes[:nBlocks]
@@ -460,9 +500,26 @@ func pagesScalar(f scheme.Factory, cfg Config, results []PageResult) {
 		alive := true
 		for alive && (cfg.MaxWrites == 0 || writes < cfg.MaxWrites) {
 			for i := range blocks {
-				randomize(data, rng)
-				if err := writeRequest(cfg, schemes[i], blocks[i], data); err != nil {
-					alive = false
+				bitvec.RandomInto(data, rng)
+				for writeRequest(cfg, schemes[i], blocks[i], data) != nil {
+					if page == nil || !page.Spare(blocks[i]) {
+						alive = false
+						break
+					}
+					// The dead block's slot takes a spare: drain what
+					// it did, then reset cells and scheme in place.
+					if sc != nil {
+						drainOps(sc, schemes[i])
+						sc.BitWrites.Add(blocks[i].Stats().BitWrites)
+						sc.BlockDeaths.Inc()
+					}
+					if h != nil {
+						drainHists(h, schemes[i])
+					}
+					ts.block(cfg.BlockBits, life, rng, i)
+					cfg.attachTracer(ts.scheme(ctor, i), name, trial, h)
+				}
+				if !alive {
 					break
 				}
 			}
@@ -475,6 +532,9 @@ func pagesScalar(f scheme.Factory, cfg Config, results []PageResult) {
 			faults += blocks[i].FaultCount()
 		}
 		results[trial] = PageResult{Lifetime: writes, RecoveredFaults: faults}
+		if page != nil {
+			results[trial].Spent = page.Spent()
+		}
 		if sc != nil {
 			for i := range schemes {
 				drainOps(sc, schemes[i])
@@ -507,19 +567,17 @@ func writeRequest(cfg Config, s scheme.Scheme, blk *pcm.Block, data *bitvec.Vect
 	if cfg.PulseWear {
 		return s.Write(blk, data)
 	}
+	return WriteRequest(s, blk, data)
+}
+
+// WriteRequest performs one scheme write as one write request under
+// the paper's request-scoped wear model (§3.1): however many raw writes
+// the scheme issues, each cell is charged at most one pulse.
+func WriteRequest(s scheme.Scheme, blk *pcm.Block, data *bitvec.Vector) error {
 	blk.BeginRequest()
 	err := s.Write(blk, data)
 	blk.EndRequest()
 	return err
-}
-
-// randomize refills data with random bits, one bulk Fill per block.
-func randomize(data *bitvec.Vector, rng *xrand.Rand) {
-	words := data.Words()
-	rng.Fill(words)
-	if r := data.Len() % 64; r != 0 {
-		words[len(words)-1] &= (uint64(1) << uint(r)) - 1
-	}
 }
 
 // FailureCurve injects faults one at a time into immortal blocks and
@@ -567,7 +625,7 @@ func FailureCounts(f scheme.Factory, cfg Config, maxFaults, writesPerStep int, b
 			blk.InjectFault(positions[nf-1], rng.Float64() < bias)
 			failed := false
 			for w := 0; w < writesPerStep; w++ {
-				randomize(data, rng)
+				bitvec.RandomInto(data, rng)
 				if err := writeRequest(cfg, s, blk, data); err != nil {
 					failed = true
 					break
@@ -622,6 +680,16 @@ func RecoveredFaults(rs []PageResult) []int64 {
 	out := make([]int64, len(rs))
 	for i, r := range rs {
 		out[i] = int64(r.RecoveredFaults)
+	}
+	return out
+}
+
+// Spent extracts the page-budget column (PageResult.Spent) of page
+// results.
+func Spent(rs []PageResult) []int64 {
+	out := make([]int64, len(rs))
+	for i, r := range rs {
+		out[i] = int64(r.Spent)
 	}
 	return out
 }

@@ -148,8 +148,8 @@ func (ls *laneScratch) ensure(n, L int) {
 }
 
 // fillData draws one block's worth of fresh random data for every lane
-// in mask — consuming each lane's RNG exactly as the scalar randomize
-// does — and transposes the group into dataT.  Lanes outside the mask
+// in mask — consuming each lane's RNG exactly as the scalar loop's
+// bitvec.RandomInto does — and transposes the group into dataT.  Lanes outside the mask
 // contribute stale bits that every downstream broadcast op masks out.
 func (ls *laneScratch) fillData(mask uint64, n, L int) {
 	w := (n + 63) / 64

@@ -4,6 +4,7 @@ import (
 	"aegis/internal/xrand"
 	"sync"
 
+	"aegis/internal/bitvec"
 	"aegis/internal/dist"
 	"aegis/internal/scheme"
 )
@@ -50,7 +51,7 @@ func TrafficCurve(f scheme.Factory, cfg Config, maxFaults, writesPerStep int) []
 			before := rep.OpStats()
 			dead := false
 			for w := 0; w < writesPerStep; w++ {
-				randomize(data, rng)
+				bitvec.RandomInto(data, rng)
 				if err := writeRequest(cfg, s, blk, data); err != nil {
 					dead = true
 					break
