@@ -187,8 +187,13 @@ func (e *Engine) Blocks(f scheme.Factory, cfg sim.Config) ([]sim.BlockResult, er
 	return s.Blocks, nil
 }
 
-// Pages runs sim.Pages through the shard engine.
+// Pages runs sim.Pages through the shard engine.  A page that holds no
+// whole block is refused: no write could ever kill it, so the run would
+// not end.
 func (e *Engine) Pages(f scheme.Factory, cfg sim.Config) ([]sim.PageResult, error) {
+	if cfg.BlockBits <= 0 || cfg.BlocksPerPage() < 1 {
+		return nil, fmt.Errorf("engine: a %d-byte page holds no %d-bit block", cfg.PageBytes, cfg.BlockBits)
+	}
 	s, err := e.payload(f, cfg, KindPages, CurveParams{})
 	if err != nil {
 		return nil, err

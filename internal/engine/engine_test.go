@@ -117,6 +117,20 @@ func TestShardKeyStableAndDistinct(t *testing.T) {
 // TestShardedMatchesUnsharded is the engine's core determinism contract:
 // any shard count (and a cached resume) produces byte-identical results
 // to the direct sim call.
+func TestPagesRejectsEmptyPage(t *testing.T) {
+	for _, e := range []*Engine{nil, {Shards: 3}} {
+		cfg := testConfig(2)
+		cfg.PageBytes = cfg.BlockBits/8 - 1
+		if _, err := e.Pages(testFactory(), cfg); err == nil {
+			t.Fatalf("engine %+v: a page smaller than one block accepted", e)
+		}
+		cfg.BlockBits = 0
+		if _, err := e.Pages(testFactory(), cfg); err == nil {
+			t.Fatalf("engine %+v: zero-bit blocks accepted", e)
+		}
+	}
+}
+
 func TestShardedMatchesUnsharded(t *testing.T) {
 	f := testFactory()
 
