@@ -9,7 +9,7 @@ import (
 
 // goldenExtensionIDs are the extension experiments whose full Quick()
 // rendering TestGoldenExtensions pins byte for byte.
-var goldenExtensionIDs = []string{"freep", "payg", "device", "oscapacity", "memblock", "latency"}
+var goldenExtensionIDs = []string{"freep", "payg", "device", "oscapacity", "memblock", "latency", "traffic"}
 
 // TestGoldenExtensions renders the page-level and device-level
 // extension experiments at the Quick preset and compares the text with
