@@ -109,7 +109,7 @@ type ShardTask struct {
 	// and keyed.
 	Scheme string
 	Kind   string
-	// Curve is zero unless Kind is KindCurve.
+	// Curve is zero unless Kind is KindCurve or KindTraffic.
 	Curve      CurveParams
 	ConfigHash string
 	Key        string
@@ -223,6 +223,17 @@ func (e *Engine) FailureCurveBias(f scheme.Factory, cfg sim.Config, maxFaults, w
 	return curve, nil
 }
 
+// TrafficCurve runs the write-traffic probe through the shard engine.
+// Shards carry the mergeable per-fault-count sums (sim.TrafficSums);
+// the merged sums average to the same points as an unsharded run.
+func (e *Engine) TrafficCurve(f scheme.Factory, cfg sim.Config, maxFaults, writesPerStep int) ([]sim.TrafficPoint, error) {
+	s, err := e.payload(f, cfg, KindTraffic, CurveParams{MaxFaults: maxFaults, WritesPerStep: writesPerStep})
+	if err != nil {
+		return nil, err
+	}
+	return sim.TrafficPoints(s.Traffic), nil
+}
+
 // payload runs the whole simulation and returns a shard carrying its
 // payload: through the shard loop when the engine is enabled, otherwise
 // by one direct simulation.  The
@@ -258,6 +269,8 @@ func simulate(f scheme.Factory, cfg sim.Config, cp CurveParams, s *Shard) {
 		s.Pages = sim.Pages(f, cfg)
 	case KindCurve:
 		s.Dead = sim.FailureCounts(f, cfg, cp.MaxFaults, cp.WritesPerStep, cp.Bias)
+	case KindTraffic:
+		s.Traffic = sim.TrafficSums(f, cfg, cp.MaxFaults, cp.WritesPerStep)
 	}
 }
 
@@ -274,7 +287,7 @@ func (e *Engine) ComputeShard(f scheme.Factory, cfg sim.Config, kind string, cp 
 		return nil, fmt.Errorf("engine: empty shard range [%d,%d)", lo, hi)
 	}
 	switch kind {
-	case KindBlocks, KindPages, KindCurve:
+	case KindBlocks, KindPages, KindCurve, KindTraffic:
 	default:
 		return nil, fmt.Errorf("engine: unknown shard kind %q", kind)
 	}
@@ -427,6 +440,9 @@ func (e *Engine) run(f scheme.Factory, cfg sim.Config, kind string, cp CurvePara
 func (e *Engine) oneShard(f scheme.Factory, cfg sim.Config, t ShardTask) (*Shard, error) {
 	if e.Resume && e.CacheDir != "" {
 		s, err := LoadShard(shardPath(e.CacheDir, t.Key), t.Key, t.ConfigHash, t.Scheme, t.Kind, t.Lo, t.Hi)
+		if err == nil {
+			err = t.checkProbe(s)
+		}
 		switch {
 		case err == nil:
 			// Cache hit: credit the shard's trials to the live
@@ -512,6 +528,19 @@ func (e *Engine) oneShard(f scheme.Factory, cfg sim.Config, t ShardTask) (*Shard
 		e.logShard("shard computed", s, elapsed)
 	}
 	return s, e.shardDone(s)
+}
+
+// checkProbe refuses a loaded curve or traffic shard whose payload does
+// not hold one count per fault count 0…MaxFaults of t's probe.  The
+// shard file does not record MaxFaults, so LoadShard cannot check it.
+func (t ShardTask) checkProbe(s *Shard) error {
+	if t.Kind != KindCurve && t.Kind != KindTraffic {
+		return nil
+	}
+	if n := s.probeLen(); n != t.Curve.MaxFaults+1 {
+		return fmt.Errorf("engine: %s holds %d counts, want %d for %d faults", shardDesc(s), n, t.Curve.MaxFaults+1, t.Curve.MaxFaults)
+	}
+	return nil
 }
 
 // logShard emits one structured record for a finished shard.  The key

@@ -31,6 +31,8 @@ const (
 	KindBlocks = "blocks"
 	KindPages  = "pages"
 	KindCurve  = "curve"
+	// KindTraffic is the write-traffic probe (sim.TrafficSums).
+	KindTraffic = "traffic"
 )
 
 // Shard is one persisted slice of a Monte Carlo run: the results of the
@@ -62,6 +64,9 @@ type Shard struct {
 	// Dead is the curve payload: Dead[nf] counts trials unrecoverable
 	// at ≤ nf injected faults (sim.FailureCounts).
 	Dead []int `json:"dead,omitempty"`
+	// Traffic is the traffic payload: Traffic[nf] sums the operation
+	// counts of the steps blocks survived at nf faults (sim.TrafficSums).
+	Traffic []sim.TrafficSum `json:"traffic,omitempty"`
 
 	// Counters and Histograms carry the per-shard observability deltas,
 	// so a resumed run reports the same totals as an uninterrupted one.
@@ -73,7 +78,7 @@ type Shard struct {
 func (s *Shard) Trials() int { return s.TrialHi - s.TrialLo }
 
 // keyConfig is the canonicalized, result-affecting subset of sim.Config
-// (plus the curve-probe parameters): exactly the fields that change
+// (plus the fault-probe parameters): exactly the fields that change
 // simulation outcomes.  Trials, TrialOffset, Workers, Lanes, Ctx and
 // the observability sinks are deliberately absent — the trial range is
 // keyed separately, and worker count, bit-sliced lane width,
@@ -94,9 +99,10 @@ type keyConfig struct {
 	Bias          float64 `json:"bias,omitempty"`
 }
 
-// CurveParams carries the failure-curve probe parameters through the
-// engine (and across the cluster wire, where a lease must name the
-// exact probe its shard covers); zero for block and page runs.
+// CurveParams carries the fault-probe parameters of curve and traffic
+// runs through the engine (and across the cluster wire, where a lease
+// must name the exact probe its shard covers); zero for block and page
+// runs, and Bias is zero for traffic runs.
 type CurveParams struct {
 	MaxFaults     int     `json:"max_faults,omitempty"`
 	WritesPerStep int     `json:"writes_per_step,omitempty"`
@@ -118,7 +124,7 @@ func ConfigHash(cfg sim.Config, kind string, cp CurveParams) string {
 		PulseWear: cfg.PulseWear,
 		Kind:      kind,
 	}
-	if kind == KindCurve {
+	if kind == KindCurve || kind == KindTraffic {
 		kc.MaxFaults = cp.MaxFaults
 		kc.WritesPerStep = cp.WritesPerStep
 		kc.Bias = cp.Bias
@@ -242,9 +248,9 @@ func (s *Shard) checkPayload() error {
 		if len(s.Pages) != n {
 			return fmt.Errorf("%d page results for %d trials", len(s.Pages), n)
 		}
-	case KindCurve:
-		if len(s.Dead) == 0 {
-			return fmt.Errorf("curve shard with no dead counts")
+	case KindCurve, KindTraffic:
+		if s.probeLen() == 0 {
+			return fmt.Errorf("%s shard with no counts", s.Kind)
 		}
 	default:
 		return fmt.Errorf("unknown shard kind %q", s.Kind)
@@ -254,9 +260,10 @@ func (s *Shard) checkPayload() error {
 
 // Merge validates that the shards form one complete, compatible run and
 // combines them: payloads are concatenated in trial order (curve counts
-// are summed), counters and histograms are added.  Every disagreement —
-// schema, config hash, scheme, kind, overlapping or gapped trial ranges
-// — is refused with an error naming both sides, never papered over.
+// and traffic sums are added), counters and histograms are added.
+// Every disagreement — schema, config hash, scheme, kind, overlapping
+// or gapped trial ranges — is refused with an error naming both sides,
+// never papered over.
 func Merge(shards []*Shard) (*Shard, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("engine: merge of zero shards")
@@ -301,22 +308,39 @@ func Merge(shards []*Shard) (*Shard, error) {
 		}
 		out.Blocks = append(out.Blocks, s.Blocks...)
 		out.Pages = append(out.Pages, s.Pages...)
-		if s.Kind == KindCurve {
-			if out.Dead == nil {
-				out.Dead = make([]int, len(s.Dead))
-			}
-			if len(s.Dead) != len(out.Dead) {
-				return nil, fmt.Errorf("engine: curve shards disagree on fault range (%d vs %d counts)", len(out.Dead), len(s.Dead))
-			}
-			for nf := range s.Dead {
-				out.Dead[nf] += s.Dead[nf]
-			}
+		if i == 0 {
+			out.Dead = append([]int(nil), s.Dead...)
+			out.Traffic = append([]sim.TrafficSum(nil), s.Traffic...)
+		} else if err := out.addProbe(s); err != nil {
+			return nil, err
 		}
 		out.Counters = out.Counters.Plus(s.Counters)
 		out.Histograms = out.Histograms.Plus(s.Histograms)
 	}
 	return out, nil
 }
+
+// addProbe adds a curve or traffic shard's counts into s's.
+func (s *Shard) addProbe(o *Shard) error {
+	if len(o.Dead) != len(s.Dead) || len(o.Traffic) != len(s.Traffic) {
+		return fmt.Errorf("engine: %s shards disagree on fault range (%d vs %d counts)", s.Kind, s.probeLen(), o.probeLen())
+	}
+	for nf := range o.Dead {
+		s.Dead[nf] += o.Dead[nf]
+	}
+	for nf, t := range o.Traffic {
+		a := &s.Traffic[nf]
+		a.Requests += t.Requests
+		a.RawWrites += t.RawWrites
+		a.VerifyReads += t.VerifyReads
+		a.Repartitions += t.Repartitions
+	}
+	return nil
+}
+
+// probeLen is the length of a curve or traffic payload: one count per
+// fault count 0…MaxFaults.
+func (s *Shard) probeLen() int { return len(s.Dead) + len(s.Traffic) }
 
 // shardDesc names a shard in error messages.
 func shardDesc(s *Shard) string {

@@ -9,7 +9,10 @@ import (
 func TestLatencyFlatForCachedScheme(t *testing.T) {
 	p := tiny()
 	p.CurveTrials = 40
-	tbl := Latency(p)
+	tbl, err := Latency(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tbl.Rows) != 20 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}

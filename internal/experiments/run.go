@@ -79,7 +79,7 @@ func Run(id string, p Params) (Result, error) {
 		}
 		return Result{Tables: []*report.Table{fig13Table(s)}}, nil
 	case "traffic":
-		return Result{Tables: []*report.Table{Traffic(p)}}, nil
+		return tableResult(Traffic(p))
 	case "ablation-wear":
 		return tableResult(AblationWear(p))
 	case "ablation-stuck":
@@ -97,7 +97,7 @@ func Run(id string, p Params) (Result, error) {
 	case "device":
 		return Result{Tables: []*report.Table{Device(p)}}, nil
 	case "latency":
-		return Result{Tables: []*report.Table{Latency(p)}}, nil
+		return tableResult(Latency(p))
 	case "softftc":
 		return Result{Tables: []*report.Table{SoftFTC(p)}}, nil
 	case "memblock":

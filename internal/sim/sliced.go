@@ -239,7 +239,7 @@ func forEachLaneGroup(cfg Config, groups [][2]int, body func(g [2]int, ls *laneS
 }
 
 // drainLaneOps adds one lane's lifetime operation statistics into the
-// registry counters, the per-lane twin of drainOps.
+// registry counters, the per-lane twin of drain.
 func drainLaneOps(sc *obs.SchemeCounters, rep scheme.LaneOpReporter, lane int) {
 	st := rep.LaneOpStats(lane)
 	sc.Writes.Add(st.Requests)
@@ -251,7 +251,7 @@ func drainLaneOps(sc *obs.SchemeCounters, rep scheme.LaneOpReporter, lane int) {
 }
 
 // drainLaneHists records one lane's per-block distributions, the
-// per-lane twin of drainHists.
+// per-lane twin of drain.
 func drainLaneHists(h *obs.SchemeHistograms, rep scheme.LaneOpReporter, lane int) {
 	st := rep.LaneOpStats(lane)
 	h.Repartitions.Observe(st.Repartitions)
@@ -276,8 +276,7 @@ func observeSalvages(s scheme.SlicedScheme, h *obs.SchemeHistograms) {
 // blocksSliced runs the lane groups of a Blocks study; results indices
 // are run-local trial indices, exactly as the scalar loop fills them.
 func blocksSliced(f scheme.SlicedFactory, cfg Config, groups [][2]int, results []BlockResult) {
-	sc := cfg.counters(f)
-	h := cfg.histograms(f)
+	sc, h := cfg.sinks(f)
 	life := cfg.lifetime()
 	forEachLaneGroup(cfg, groups, func(g [2]int, ls *laneScratch) {
 		lo, L := g[0], g[1]-g[0]
@@ -342,8 +341,7 @@ func blocksSliced(f scheme.SlicedFactory, cfg Config, groups [][2]int, results [
 // at block i of a page-write round is masked out of the round's
 // remaining blocks (the scalar loop breaks there) and retires.
 func pagesSliced(f scheme.SlicedFactory, cfg Config, groups [][2]int, results []PageResult) {
-	sc := cfg.counters(f)
-	h := cfg.histograms(f)
+	sc, h := cfg.sinks(f)
 	life := cfg.lifetime()
 	nBlocks := cfg.BlocksPerPage()
 	forEachLaneGroup(cfg, groups, func(g [2]int, ls *laneScratch) {

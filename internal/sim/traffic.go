@@ -1,13 +1,22 @@
 package sim
 
 import (
-	"aegis/internal/xrand"
 	"sync"
 
-	"aegis/internal/bitvec"
-	"aegis/internal/dist"
 	"aegis/internal/scheme"
+	"aegis/internal/xrand"
 )
+
+// TrafficSum is the mergeable payload of the write-traffic probe: the
+// growth of the scheme's OpStats over the injection steps blocks
+// survived at one fault count, summed over trials.  Its JSON form is
+// part of the aegis.shard/v1 format (internal/engine).
+type TrafficSum struct {
+	Requests     int64 `json:"requests"`
+	RawWrites    int64 `json:"raw_writes"`
+	VerifyReads  int64 `json:"verify_reads"`
+	Repartitions int64 `json:"repartitions"`
+}
 
 // TrafficPoint reports a scheme's average controller costs per write
 // request at one fault count.
@@ -23,67 +32,41 @@ type TrafficPoint struct {
 	Repartitions float64
 }
 
-// TrafficCurve measures the write-path cost the paper discusses around
+// TrafficSums measures the write-path cost the paper discusses around
 // Figure 8 ("intensive inversion writes"): blocks are loaded with a
-// growing number of injected faults, and at each fault count the
-// per-request operation statistics are averaged over writesPerStep
-// random writes across cfg.Trials blocks.  The scheme must implement
-// scheme.OpReporter; blocks that die stop contributing at higher fault
-// counts.
-func TrafficCurve(f scheme.Factory, cfg Config, maxFaults, writesPerStep int) []TrafficPoint {
-	type acc struct {
-		requests, raws, verifies, reparts int64
-	}
-	sums := make([]acc, maxFaults+1)
+// growing number of injected faults (the fault-injection kernel, with
+// stuck values drawn as fair coins), and sums[nf] adds up the operation
+// statistics of the writesPerStep random writes each surviving block
+// made at nf faults.  Blocks that die stop contributing at higher fault
+// counts, and schemes that are not scheme.OpReporters contribute
+// nothing.  Sums from disjoint trial ranges of the same configuration
+// add up to the sums of the combined range.
+func TrafficSums(f scheme.Factory, cfg Config, maxFaults, writesPerStep int) []TrafficSum {
+	sums := make([]TrafficSum, maxFaults+1)
 	var mu sync.Mutex
-	forEachTrial(cfg, func(trial int, rng *xrand.Rand, ts *trialScratch) {
-		blk := ts.block(cfg.BlockBits, dist.Immortal{}, nil, 0)
-		s := ts.scheme(f, 0)
-		rep, ok := s.(scheme.OpReporter)
-		if !ok {
-			return
-		}
-		data := ts.dataVec(cfg.BlockBits)
-		positions := rng.Perm(cfg.BlockBits)
-		local := make([]acc, 0, maxFaults)
-		for nf := 1; nf <= maxFaults && nf <= len(positions); nf++ {
-			blk.InjectFault(positions[nf-1], rng.Intn(2) == 0)
-			before := rep.OpStats()
-			dead := false
-			for w := 0; w < writesPerStep; w++ {
-				bitvec.RandomInto(data, rng)
-				if err := writeRequest(cfg, s, blk, data); err != nil {
-					dead = true
-					break
-				}
-			}
-			if dead {
-				break
-			}
-			after := rep.OpStats()
-			local = append(local, acc{
-				requests: after.Requests - before.Requests,
-				raws:     after.RawWrites - before.RawWrites,
-				verifies: after.VerifyReads - before.VerifyReads,
-				reparts:  after.Repartitions - before.Repartitions,
-			})
-		}
+	fair := func(rng *xrand.Rand) bool { return rng.Intn(2) == 0 }
+	injectFaults(f, cfg, maxFaults, writesPerStep, fair, func(nf int, before, after scheme.OpStats) {
 		mu.Lock()
-		for i, a := range local {
-			sums[i+1].requests += a.requests
-			sums[i+1].raws += a.raws
-			sums[i+1].verifies += a.verifies
-			sums[i+1].reparts += a.reparts
-		}
+		s := &sums[nf]
+		s.Requests += after.Requests - before.Requests
+		s.RawWrites += after.RawWrites - before.RawWrites
+		s.VerifyReads += after.VerifyReads - before.VerifyReads
+		s.Repartitions += after.Repartitions - before.Repartitions
 		mu.Unlock()
 	})
-	out := make([]TrafficPoint, 0, maxFaults)
-	for nf := 1; nf <= maxFaults; nf++ {
+	return sums
+}
+
+// TrafficPoints averages traffic sums per request, one point per fault
+// count 1…len(sums)−1.
+func TrafficPoints(sums []TrafficSum) []TrafficPoint {
+	out := make([]TrafficPoint, 0, len(sums))
+	for nf := 1; nf < len(sums); nf++ {
 		p := TrafficPoint{Faults: nf}
-		if r := sums[nf].requests; r > 0 {
-			p.ExtraWrites = float64(sums[nf].raws-r) / float64(r)
-			p.VerifyReads = float64(sums[nf].verifies) / float64(r)
-			p.Repartitions = float64(sums[nf].reparts) / float64(r)
+		if r := sums[nf].Requests; r > 0 {
+			p.ExtraWrites = float64(sums[nf].RawWrites-r) / float64(r)
+			p.VerifyReads = float64(sums[nf].VerifyReads) / float64(r)
+			p.Repartitions = float64(sums[nf].Repartitions) / float64(r)
 		}
 		out = append(out, p)
 	}

@@ -3,49 +3,9 @@ package sim
 import (
 	"testing"
 
-	"aegis/internal/aegisrw"
 	"aegis/internal/core"
-	"aegis/internal/failcache"
 	"aegis/internal/scheme"
 )
-
-func TestTrafficCurveCacheLessVsCached(t *testing.T) {
-	cfg := quickCfg(30)
-	base := TrafficCurve(core.MustFactory(512, 61), cfg, 10, 6)
-	rw := TrafficCurve(aegisrw.MustRWFactory(512, 61, failcache.Perfect{}), cfg, 10, 6)
-	if len(base) != 10 || len(rw) != 10 {
-		t.Fatalf("curve lengths %d, %d", len(base), len(rw))
-	}
-	// Cache-less Aegis pays extra inversion writes once faults exist.
-	if base[0].ExtraWrites <= 0 {
-		t.Fatalf("base extra writes at 1 fault = %v, want > 0", base[0].ExtraWrites)
-	}
-	if base[5].ExtraWrites <= base[0].ExtraWrites/2 {
-		t.Fatalf("base extra writes should grow with faults: %v -> %v", base[0].ExtraWrites, base[5].ExtraWrites)
-	}
-	// Aegis-rw with a perfect cache plans in one pass.
-	for i, pt := range rw {
-		if pt.ExtraWrites != 0 {
-			t.Fatalf("rw extra writes at %d faults = %v, want 0", i+1, pt.ExtraWrites)
-		}
-	}
-	// Verification reads accompany every physical write.
-	if base[3].VerifyReads < 1 {
-		t.Fatalf("verify reads = %v, want ≥ 1", base[3].VerifyReads)
-	}
-}
-
-func TestTrafficCurveSkipsNonReporters(t *testing.T) {
-	cfg := quickCfg(4)
-	// scheme.None does not implement OpReporter; the curve must come
-	// back all zeros rather than panic.
-	pts := TrafficCurve(scheme.NoneFactory{Bits: 512}, cfg, 5, 3)
-	for _, pt := range pts {
-		if pt.ExtraWrites != 0 || pt.VerifyReads != 0 {
-			t.Fatalf("non-reporter produced stats: %+v", pt)
-		}
-	}
-}
 
 func TestOpStatsAccumulate(t *testing.T) {
 	cfg := quickCfg(1)
