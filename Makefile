@@ -133,6 +133,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/serve/
 	$(GO) test -fuzz=FuzzLeaseWire -fuzztime=10s ./internal/cluster/
 	$(GO) test -fuzz=FuzzWear -fuzztime=10s ./internal/pcm/
+	$(GO) test -fuzz=FuzzSAFERPlan -fuzztime=10s ./internal/safer/
+	$(GO) test -fuzz=FuzzResetEquivalence -fuzztime=10s ./internal/sim/
 
 # Regenerate the fixed-seed golden regression file after an intentional
 # behaviour change.

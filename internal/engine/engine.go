@@ -208,19 +208,15 @@ func (e *Engine) FailureCurve(f scheme.Factory, cfg sim.Config, maxFaults, write
 
 // FailureCurveBias runs sim.FailureCurveBias through the shard engine.
 // Shards carry the mergeable dead counts (sim.FailureCounts); the
-// merged counts divide by the full trial count, so the curve matches an
-// unsharded run exactly.
+// merged counts divide by the full trial count (sim.CurvePoints), so
+// the curve matches an unsharded run exactly.
 func (e *Engine) FailureCurveBias(f scheme.Factory, cfg sim.Config, maxFaults, writesPerStep int, bias float64) ([]float64, error) {
 	cp := CurveParams{MaxFaults: maxFaults, WritesPerStep: writesPerStep, Bias: bias}
 	s, err := e.payload(f, cfg, KindCurve, cp)
 	if err != nil {
 		return nil, err
 	}
-	curve := make([]float64, maxFaults+1)
-	for nf := 1; nf <= maxFaults && nf < len(s.Dead); nf++ {
-		curve[nf] = float64(s.Dead[nf]) / float64(cfg.Trials)
-	}
-	return curve, nil
+	return sim.CurvePoints(s.Dead, cfg.Trials), nil
 }
 
 // TrafficCurve runs the write-traffic probe through the shard engine.

@@ -25,6 +25,9 @@ import (
 type Cached struct {
 	partition
 	subset []int
+	// diff holds the address difference w^r of every W fault w and R
+	// fault r of the current Plan, one bit per difference.
+	diff *bitvec.Vector
 }
 
 var (
@@ -45,26 +48,37 @@ func NewCached(n, nGroups int, view failcache.View) (*Cached, error) {
 // Name implements scheme.Scheme.
 func (c *Cached) Name() string { return fmt.Sprintf("SAFER%d-cache", 1<<c.m) }
 
-// selectFields enumerates all m-subsets of the address bits and returns
-// the first one under which no group holds both a stuck-at-Wrong and a
-// stuck-at-Right fault.  ok=false means no position set works and the
-// block is dead.  With 9 address bits the search space is at most
-// C(9,⌊9/2⌋) = 126 subsets, so exhaustive enumeration is what real
-// controller logic could afford too.
+// selectFields enumerates all m-subsets of the address bits in
+// lexicographic order and returns the first one under which no group
+// holds both a stuck-at-Wrong and a stuck-at-Right fault.  ok=false
+// means no position set works and the block is dead.  With 9 address
+// bits the search space is at most C(9,⌊9/2⌋) = 126 subsets, so
+// exhaustive enumeration is what real controller logic could afford
+// too.
+//
+// A W fault w and an R fault r share a group exactly when the selected
+// positions miss every bit of w^r, so the search builds the set of
+// W–R differences once and tests each subset against it with a few
+// word operations (separates).
 func (c *Cached) selectFields(faults []failcache.Fault, wrong []bool) ([]int, bool) {
 	if len(faults) == 0 {
 		return c.fields, true
 	}
 	if c.subset == nil {
 		c.subset = make([]int, c.m)
+		c.diff = bitvec.New(c.n)
 	}
 	subset := c.subset[:c.m]
 	// Initialize to the lexicographically first m-subset {0,1,…,m-1}.
 	for i := range subset {
 		subset[i] = i
 	}
+	if !c.buildDiff(faults, wrong) {
+		return subset, true
+	}
+	diff := c.diff.Words()
 	for {
-		if separatesWR(faults, wrong, fieldMask(subset)) {
+		if separates(diff, fieldMask(subset)) {
 			return subset, true
 		}
 		// Advance to the next m-subset of {0,…,addrBits-1}.
@@ -82,18 +96,42 @@ func (c *Cached) selectFields(faults []failcache.Fault, wrong []bool) ([]int, bo
 	}
 }
 
-// separatesWR reports whether no W fault's address agrees with an R
-// fault's under mask, that is, whether the selected positions separate
-// W from R faults.
-func separatesWR(faults []failcache.Fault, wrong []bool, mask int) bool {
-	for i := range faults {
+// buildDiff fills c.diff with the W–R address differences of faults
+// and reports whether there are any: false when every fault is W or
+// every fault is R, which any subset separates.
+func (c *Cached) buildDiff(faults []failcache.Fault, wrong []bool) bool {
+	c.diff.Zero()
+	found := false
+	for i, w := range faults {
 		if !wrong[i] {
 			continue
 		}
-		for j := range faults {
-			if !wrong[j] && (faults[i].Pos^faults[j].Pos)&mask == 0 {
-				return false
+		for j, r := range faults {
+			if !wrong[j] {
+				c.diff.Set(w.Pos^r.Pos, true)
+				found = true
 			}
+		}
+	}
+	return found
+}
+
+// separates reports whether every address difference in diff has a bit
+// in mask, that is, whether the positions of mask separate W from R
+// faults.  In word w, a difference is covered outright when w's index
+// has a high bit of mask, and otherwise needs an in-word bit from one
+// of mask's low patterns.
+func separates(diff []uint64, mask int) bool {
+	var low uint64
+	for p := range lowPattern {
+		if mask>>uint(p)&1 == 1 {
+			low |= lowPattern[p]
+		}
+	}
+	high := mask >> 6
+	for w, d := range diff {
+		if w&high == 0 && d&^low != 0 {
+			return false
 		}
 	}
 	return true

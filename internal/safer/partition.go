@@ -2,7 +2,6 @@ package safer
 
 import (
 	"fmt"
-	"sync"
 
 	"aegis/internal/bitvec"
 	"aegis/internal/failcache"
@@ -10,29 +9,17 @@ import (
 	"aegis/internal/scheme"
 )
 
-// addrMaskCache shares, per block size, the address-bit pattern masks:
-// addrBitMasks(n)[p] is the mask of cells whose in-block address has
-// bit p set.  Group masks are intersections of these patterns (and
-// their complements), which turns per-cell projection loops into a few
-// word-level ANDs.  The vectors are immutable once published.
-var addrMaskCache sync.Map // block bits -> []*bitvec.Vector
-
-func addrBitMasks(n int) []*bitvec.Vector {
-	if v, ok := addrMaskCache.Load(n); ok {
-		return v.([]*bitvec.Vector)
-	}
-	masks := make([]*bitvec.Vector, log2(n))
-	for p := range masks {
-		m := bitvec.New(n)
-		for x := 0; x < n; x++ {
-			if x>>uint(p)&1 == 1 {
-				m.Set(x, true)
-			}
-		}
-		masks[p] = m
-	}
-	v, _ := addrMaskCache.LoadOrStore(n, masks)
-	return v.([]*bitvec.Vector)
+// lowPattern[p] marks the cells of a 64-bit word whose in-word address
+// has bit p set.  Address bits 6 and above select whole words, so any
+// set of cells a partition names is, word by word, an intersection of
+// these patterns (or their complements) gated on the word index.
+var lowPattern = [6]uint64{
+	0xAAAAAAAAAAAAAAAA,
+	0xCCCCCCCCCCCCCCCC,
+	0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00,
+	0xFFFF0000FFFF0000,
+	0xFFFFFFFF00000000,
 }
 
 func log2(n int) int {
@@ -57,12 +44,11 @@ type partition struct {
 	fields []int          // selected address bit positions, in selection order
 	inv    *bitvec.Vector // inversion bits, one per group (2^m)
 
-	// masks holds the group member masks of the current fields, built
-	// on demand as a prefix of maskStore (the persistent allocation,
-	// grown as needed and reused across rebuilds).  setFields clears
-	// it, so nil means "rebuild before use".
-	masks     []*bitvec.Vector
-	maskStore []*bitvec.Vector
+	// flip holds the cells of every inverted group: the vector Encode
+	// and Read XOR.  flipOK reports that it matches fields and inv;
+	// whatever changes either clears it, and the next use rebuilds.
+	flip      *bitvec.Vector
+	flipOK    bool
 	invGroups []int
 }
 
@@ -82,6 +68,7 @@ func newPartition(n, nGroups int, view failcache.View) (partition, error) {
 		m:        log2(nGroups),
 		fields:   make([]int, 0, log2(nGroups)),
 		inv:      bitvec.New(nGroups),
+		flip:     bitvec.New(n),
 	}, nil
 }
 
@@ -97,19 +84,18 @@ func (s *partition) Fields() []int { return append([]int(nil), s.fields...) }
 
 // Reset implements scheme.Resettable: empty partition vector, cleared
 // inversion bits, zeroed counters, no tracer and, for an instance a
-// factory bound to a fail cache, a fresh view.  The mask store keeps
-// its allocation.
+// factory bound to a fail cache, a fresh view.  The inverted-cell mask
+// keeps its allocation.
 func (s *partition) Reset() {
 	s.Loop.Reset()
 	s.setFields(nil)
 	s.inv.Zero()
 }
 
-// setFields replaces the partition vector and drops the group masks
-// built for the old one.
+// setFields replaces the partition vector.
 func (s *partition) setFields(fields []int) {
 	s.fields = append(s.fields[:0], fields...)
-	s.masks = nil
+	s.flipOK = false
 }
 
 // fieldMask is the set of address bits fields select.  Two cells share
@@ -142,40 +128,46 @@ func (s *partition) invertWrong(faults []failcache.Fault, wrong []bool) {
 			s.inv.Set(s.group(f.Pos), true)
 		}
 	}
+	s.flipOK = false
 }
 
-// groupMasks returns the member masks of the current partition: mask g
-// holds the cells whose address projects onto g.
-func (s *partition) groupMasks() []*bitvec.Vector {
-	if s.masks != nil {
-		return s.masks
+// inverted returns the cells of every inverted group, rebuilding the
+// mask word by word after the fields or the inversion bits changed.
+// Group g's cells in word w are the in-word pattern of its low fields,
+// present when w's index agrees with g on the high fields; a rebuild
+// costs O(inverted groups × (m + words)).
+func (s *partition) inverted() *bitvec.Vector {
+	if s.flipOK {
+		return s.flip
 	}
-	want := 1 << uint(len(s.fields))
-	for len(s.maskStore) < want {
-		s.maskStore = append(s.maskStore, bitvec.New(s.n))
-	}
-	s.masks = s.maskStore[:want]
-	addr := addrBitMasks(s.n)
-	for g, m := range s.masks {
-		m.Fill(true)
+	words := s.flip.Words()
+	clear(words)
+	s.invGroups = s.inv.AppendOnes(s.invGroups[:0])
+	for _, g := range s.invGroups {
+		in, hiMask, hiWant := ^uint64(0), 0, 0
 		for i, pos := range s.fields {
-			if g>>uint(i)&1 == 1 {
-				m.AndInto(addr[pos])
-			} else {
-				m.AndNotInto(addr[pos])
+			bit := g >> uint(i) & 1
+			switch {
+			case pos >= 6:
+				hiMask |= 1 << uint(pos-6)
+				hiWant |= bit << uint(pos-6)
+			case bit == 1:
+				in &= lowPattern[pos]
+			default:
+				in &^= lowPattern[pos]
+			}
+		}
+		for w := range words {
+			if w&hiMask == hiWant {
+				words[w] |= in
 			}
 		}
 	}
-	return s.masks
-}
-
-// xorInverted flips the cells of every inverted group in v.
-func (s *partition) xorInverted(v *bitvec.Vector) {
-	masks := s.groupMasks()
-	s.invGroups = s.inv.AppendOnes(s.invGroups[:0])
-	for _, g := range s.invGroups {
-		v.XorInto(masks[g])
+	if s.n < 64 {
+		words[0] &= 1<<uint(s.n) - 1
 	}
+	s.flipOK = true
+	return s.flip
 }
 
 // Encode implements scheme.Planner.
@@ -184,7 +176,7 @@ func (s *partition) Encode(data, phys *bitvec.Vector) bool {
 	if !s.inv.Any() {
 		return false
 	}
-	s.xorInverted(phys)
+	phys.XorInto(s.inverted())
 	return true
 }
 
@@ -195,7 +187,7 @@ func (s *partition) InvertedGroups() int { return s.inv.PopCount() }
 func (s *partition) Read(blk *pcm.Block, dst *bitvec.Vector) *bitvec.Vector {
 	dst = blk.Read(dst)
 	if s.inv.Any() {
-		s.xorInverted(dst)
+		dst.XorInto(s.inverted())
 	}
 	return dst
 }

@@ -3,6 +3,7 @@ package safer
 import (
 	"aegis/internal/xrand"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -265,6 +266,43 @@ func BenchmarkSAFERWrite8Faults(b *testing.B) {
 	}
 }
 
+// BenchmarkSAFERCacheWrite is the scheme-layer cost of one SAFER-cache
+// request write on a 512-bit block whose faults the perfect cache
+// reveals: field search, inversion and the write–verify loop.  Each
+// case cycles 16 data vectors the fault set survives.
+func BenchmarkSAFERCacheWrite(b *testing.B) {
+	for _, groups := range []int{64, 128} {
+		for _, faults := range []int{10, 20, 30} {
+			b.Run(fmt.Sprintf("groups=%d/faults=%d", groups, faults), func(b *testing.B) {
+				f := MustCachedFactory(512, groups, failcache.Perfect{})
+				blk := pcm.NewImmortalBlock(512)
+				rng := xrand.New(int64(faults))
+				for _, p := range rng.Perm(512)[:faults] {
+					blk.InjectFault(p, rng.Intn(2) == 0)
+				}
+				s := f.New()
+				var data []*bitvec.Vector
+				for try := 0; try < 1000 && len(data) < 16; try++ {
+					d := bitvec.Random(512, rng)
+					if s.Write(blk, d) == nil {
+						data = append(data, d)
+					}
+				}
+				if len(data) == 0 {
+					b.Skip("no datum survives this fault set")
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := s.Write(blk, data[i%len(data)]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestCachedMetadataAccessorsAndFiniteCache(t *testing.T) {
 	f := MustCachedFactory(512, 64, failcache.Perfect{})
 	if f.BlockBits() != 512 || f.Name() != "SAFER64-cache" {
@@ -321,8 +359,8 @@ func TestCachedValidation(t *testing.T) {
 }
 
 func TestCachedReadWithoutPriorWrite(t *testing.T) {
-	// Read on a fresh instance (masks unbuilt) must not panic even with
-	// inversion bits restored from metadata.
+	// Read on a fresh instance (inverted-cell mask unbuilt) must not
+	// panic even with inversion bits restored from metadata.
 	s, err := NewCached(512, 32, failcache.Perfect{}.View(0))
 	if err != nil {
 		t.Fatal(err)

@@ -43,6 +43,8 @@ func reuseRoster() []struct {
 		{"safer", func() scheme.Factory { return safer.MustFactory(64, 16) }},
 		{"safer-cache", func() scheme.Factory { return safer.MustCachedFactory(64, 16, failcache.Perfect{}) }},
 		{"rdis", func() scheme.Factory { return rdis.MustFactory(64, 3, failcache.Perfect{}) }},
+		// Eight words: fields at address bits 6 and above select words.
+		{"safer-cache-512", func() scheme.Factory { return safer.MustCachedFactory(512, 64, failcache.Perfect{}) }},
 	}
 }
 
@@ -76,10 +78,10 @@ func (s *freshScheme) SetTracer(t scheme.Tracer) {
 	}
 }
 
-func reuseConfig(trials int) Config {
+func reuseConfig(f scheme.Factory, trials int) Config {
 	return Config{
-		BlockBits: 64,
-		PageBytes: 64, // 8 blocks per page
+		BlockBits: f.BlockBits(),
+		PageBytes: f.BlockBits(), // 8 blocks per page
 		MeanLife:  60,
 		CoV:       0.25,
 		Trials:    trials,
@@ -94,11 +96,12 @@ func reuseConfig(trials int) Config {
 func TestReuseMatchesFreshBlocks(t *testing.T) {
 	for _, entry := range reuseRoster() {
 		t.Run(entry.name, func(t *testing.T) {
-			cfgA, cfgB := reuseConfig(10), reuseConfig(10)
+			facA, facB := entry.make(), entry.make()
+			cfgA, cfgB := reuseConfig(facA, 10), reuseConfig(facB, 10)
 			obsA, obsB := obs.NewRegistry(), obs.NewRegistry()
 			cfgA.Obs, cfgB.Obs = obsA, obsB
-			resA := Blocks(entry.make(), cfgA)
-			resB := Blocks(freshFactory{entry.make()}, cfgB)
+			resA := Blocks(facA, cfgA)
+			resB := Blocks(freshFactory{facB}, cfgB)
 			if !reflect.DeepEqual(resA, resB) {
 				t.Fatalf("reused and fresh block results diverge:\nreused: %+v\nfresh:  %+v", resA, resB)
 			}
@@ -114,9 +117,9 @@ func TestReuseMatchesFreshBlocks(t *testing.T) {
 func TestReuseMatchesFreshPages(t *testing.T) {
 	for _, entry := range reuseRoster() {
 		t.Run(entry.name, func(t *testing.T) {
-			cfgA, cfgB := reuseConfig(4), reuseConfig(4)
-			resA := Pages(entry.make(), cfgA)
-			resB := Pages(freshFactory{entry.make()}, cfgB)
+			facA, facB := entry.make(), entry.make()
+			resA := Pages(facA, reuseConfig(facA, 4))
+			resB := Pages(freshFactory{facB}, reuseConfig(facB, 4))
 			if !reflect.DeepEqual(resA, resB) {
 				t.Fatalf("reused and fresh page results diverge:\nreused: %+v\nfresh:  %+v", resA, resB)
 			}
@@ -129,9 +132,9 @@ func TestReuseMatchesFreshPages(t *testing.T) {
 func TestReuseMatchesFreshFailureCounts(t *testing.T) {
 	for _, entry := range reuseRoster() {
 		t.Run(entry.name, func(t *testing.T) {
-			cfgA, cfgB := reuseConfig(12), reuseConfig(12)
-			a := FailureCounts(entry.make(), cfgA, 8, 4, 0.5)
-			b := FailureCounts(freshFactory{entry.make()}, cfgB, 8, 4, 0.5)
+			facA, facB := entry.make(), entry.make()
+			a := FailureCounts(facA, reuseConfig(facA, 12), 8, 4, 0.5)
+			b := FailureCounts(freshFactory{facB}, reuseConfig(facB, 12), 8, 4, 0.5)
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("reused and fresh failure counts diverge:\nreused: %v\nfresh:  %v", a, b)
 			}
@@ -248,8 +251,17 @@ func TestResetEquivalenceProperty(t *testing.T) {
 // reset instance diverges from a fresh one (go test -fuzz=FuzzReset).
 func FuzzResetEquivalence(f *testing.F) {
 	roster := reuseRoster()
+	// Seed corpus IDs (seed#k) number the f.Add calls.  The ten 64-bit
+	// entries are seeded first and in their original order, so entries
+	// appended to the roster later leave those IDs where they were.
+	const first = 10
 	for seed := int64(0); seed < 4; seed++ {
-		for i := range roster {
+		for i := 0; i < first; i++ {
+			f.Add(seed, i)
+		}
+	}
+	for i := first; i < len(roster); i++ {
+		for seed := int64(0); seed < 4; seed++ {
 			f.Add(seed, i)
 		}
 	}

@@ -144,6 +144,7 @@ type trialScratch struct {
 	schemes []scheme.Scheme
 	blocks  []*pcm.Block
 	data    *bitvec.Vector
+	perm    []int
 	// rng is the worker's trial RNG state, reseeded in place per trial
 	// (xrand.Rand.Seed): the ~4.9 KB generator state is part of the
 	// arena, so trials allocate no RNG source (DESIGN.md §17).
@@ -196,6 +197,15 @@ func (ts *trialScratch) dataVec(n int) *bitvec.Vector {
 		ts.data = bitvec.New(n)
 	}
 	return ts.data
+}
+
+// permutation returns a random permutation of [0,n) in the worker's
+// reusable buffer, drawn from rng exactly as rng.Perm(n) draws it.
+func (ts *trialScratch) permutation(n int, rng *xrand.Rand) []int {
+	if len(ts.perm) != n {
+		ts.perm = make([]int, n)
+	}
+	return rng.PermInto(ts.perm)
 }
 
 // forEachTrial fans cfg.Trials trials out over a worker pool, reporting
@@ -543,10 +553,16 @@ func FailureCurve(f scheme.Factory, cfg Config, maxFaults, writesPerStep int) []
 // makes every fault the same type, the friendliest case for schemes that
 // distinguish stuck-at-Wrong from stuck-at-Right cells (ablation).
 func FailureCurveBias(f scheme.Factory, cfg Config, maxFaults, writesPerStep int, bias float64) []float64 {
-	dead := FailureCounts(f, cfg, maxFaults, writesPerStep, bias)
-	curve := make([]float64, maxFaults+1)
-	for nf := 1; nf <= maxFaults; nf++ {
-		curve[nf] = float64(dead[nf]) / float64(cfg.Trials)
+	return CurvePoints(FailureCounts(f, cfg, maxFaults, writesPerStep, bias), cfg.Trials)
+}
+
+// CurvePoints turns FailureCounts' dead counts into the failure curve:
+// point nf is the share of the trials dead once nf faults had been
+// injected, for nf = 1…len(dead)−1; point 0 stays 0.
+func CurvePoints(dead []int, trials int) []float64 {
+	curve := make([]float64, len(dead))
+	for nf := 1; nf < len(dead); nf++ {
+		curve[nf] = float64(dead[nf]) / float64(trials)
 	}
 	return curve
 }
@@ -585,7 +601,7 @@ func injectFaults(f scheme.Factory, cfg Config, maxFaults, writesPerStep int,
 			rep, _ = s.(scheme.OpReporter)
 		}
 		data := ts.dataVec(cfg.BlockBits)
-		positions := rng.Perm(cfg.BlockBits)
+		positions := ts.permutation(cfg.BlockBits, rng)
 		diedAt := maxFaults + 1
 	steps:
 		for nf := 1; nf <= maxFaults && nf <= len(positions); nf++ {

@@ -229,14 +229,18 @@ again:
 
 // Perm returns, as a slice of n ints, a pseudo-random permutation of
 // the integers in the half-open interval [0,n).
-func (r *Rand) Perm(n int) []int {
-	m := make([]int, n)
+func (r *Rand) Perm(n int) []int { return r.PermInto(make([]int, n)) }
+
+// PermInto overwrites m with a pseudo-random permutation of the
+// integers in [0,len(m)) and returns it: Perm's draws, in Perm's order,
+// into a caller-owned buffer.  m's old contents do not matter.
+func (r *Rand) PermInto(m []int) []int {
 	// In the following loop, the iteration when i=0 always swaps m[0]
 	// with m[0].  A change to remove this useless iteration is to
 	// assign 1 to i in the init statement.  But Perm also effects
 	// r.  Making this change will affect the final state of r.  So
 	// this change can't be made for compatibility reasons for Go 1.
-	for i := 0; i < n; i++ {
+	for i := range m {
 		j := r.Intn(i + 1)
 		m[i] = m[j]
 		m[j] = i

@@ -121,6 +121,30 @@ func TestStreamNormTail(t *testing.T) {
 	}
 }
 
+// TestPermIntoMatchesPerm pins PermInto to Perm draw for draw: the
+// same permutation for every n, even into a dirty buffer, and the same
+// generator state afterwards.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	buf := make([]int, 0, 600)
+	for n := 0; n <= 600; n++ {
+		a, b := New(int64(n)), New(int64(n))
+		want := a.Perm(n)
+		buf = buf[:n]
+		for i := range buf {
+			buf[i] = -1 - i
+		}
+		got := b.PermInto(buf)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: PermInto[%d] = %d, Perm = %d", n, i, got[i], want[i])
+			}
+		}
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("n=%d: next draw after Perm %d, after PermInto %d", n, x, y)
+		}
+	}
+}
+
 // TestStreamPermShuffle pins Perm and Shuffle, which both consume draws
 // in an order frozen by Go 1 (including Perm's useless i=0 draw).
 func TestStreamPermShuffle(t *testing.T) {
