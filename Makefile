@@ -135,6 +135,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzWear -fuzztime=10s ./internal/pcm/
 	$(GO) test -fuzz=FuzzSAFERPlan -fuzztime=10s ./internal/safer/
 	$(GO) test -fuzz=FuzzResetEquivalence -fuzztime=10s ./internal/sim/
+	$(GO) test -run=FuzzParseScheme -fuzz=FuzzParseScheme -fuzztime=10s ./internal/experiments/
 
 # Regenerate the fixed-seed golden regression file after an intentional
 # behaviour change.

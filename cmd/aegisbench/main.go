@@ -146,16 +146,9 @@ func run(args []string, out *os.File) error {
 		return nil
 	}
 
-	var p experiments.Params
-	switch *preset {
-	case "quick":
-		p = experiments.Quick()
-	case "default":
-		p = experiments.Default()
-	case "full":
-		p = experiments.Full()
-	default:
-		return fmt.Errorf("unknown preset %q (quick, default, full)", *preset)
+	p, err := experiments.Preset(*preset)
+	if err != nil {
+		return err
 	}
 	if *seed != 0 {
 		p.Seed = *seed

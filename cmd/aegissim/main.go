@@ -6,13 +6,14 @@
 //
 // Usage:
 //
-//	aegissim -scheme aegis-9x61 -workload zipf -leveler start-gap-rand
-//	aegissim -scheme safer-64 -workload hotspot -pairing=false
+//	aegissim -scheme aegis:61 -workload zipf -leveler start-gap-rand
+//	aegissim -scheme safer:64 -workload hotspot -pairing=false
 //	aegissim -list
 //
-// Schemes: aegis-BxB (e.g. aegis-23x23), aegis-rw-BxB, safer-N, ecp-N,
-// rdis-3, hamming.  Workloads: uniform, sequential, zipf, hotspot.
-// Levelers: none, start-gap, start-gap-rand, security-refresh.
+// Schemes take the spec grammar aegisd's jobs use (aegis:B, aegis-rw:B,
+// safer:GROUPS, ecp:ENTRIES, rdis:DEPTH, hamming, …; -list prints it).
+// Workloads: uniform, sequential, zipf, hotspot.  Levelers: none,
+// start-gap, start-gap-rand, security-refresh.
 package main
 
 import (
@@ -20,18 +21,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
-	"aegis/internal/aegisrw"
-	"aegis/internal/core"
 	"aegis/internal/device"
-	"aegis/internal/ecc"
-	"aegis/internal/ecp"
-	"aegis/internal/failcache"
-	"aegis/internal/rdis"
-	"aegis/internal/safer"
-	"aegis/internal/scheme"
+	"aegis/internal/experiments"
 	"aegis/internal/wearlevel"
 	"aegis/internal/workload"
 )
@@ -41,56 +33,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "aegissim:", err)
 		os.Exit(1)
 	}
-}
-
-// parseScheme resolves a scheme spec like "aegis-9x61" or "ecp-6".
-func parseScheme(spec string, blockBits int) (scheme.Factory, error) {
-	cache := failcache.Perfect{}
-	switch {
-	case spec == "hamming":
-		return ecc.NewFactory(blockBits)
-	case spec == "rdis-3":
-		return rdis.NewFactory(blockBits, 3, cache)
-	case strings.HasPrefix(spec, "safer-"):
-		n, err := strconv.Atoi(strings.TrimPrefix(spec, "safer-"))
-		if err != nil {
-			return nil, fmt.Errorf("bad scheme %q", spec)
-		}
-		return safer.NewFactory(blockBits, n)
-	case strings.HasPrefix(spec, "ecp-"):
-		n, err := strconv.Atoi(strings.TrimPrefix(spec, "ecp-"))
-		if err != nil {
-			return nil, fmt.Errorf("bad scheme %q", spec)
-		}
-		return ecp.NewFactory(blockBits, n)
-	case strings.HasPrefix(spec, "aegis-rw-"):
-		b, err := parseAxB(strings.TrimPrefix(spec, "aegis-rw-"))
-		if err != nil {
-			return nil, fmt.Errorf("bad scheme %q: %v", spec, err)
-		}
-		return aegisrw.NewRWFactory(blockBits, b, cache)
-	case strings.HasPrefix(spec, "aegis-"):
-		b, err := parseAxB(strings.TrimPrefix(spec, "aegis-"))
-		if err != nil {
-			return nil, fmt.Errorf("bad scheme %q: %v", spec, err)
-		}
-		return core.NewFactory(blockBits, b)
-	default:
-		return nil, fmt.Errorf("unknown scheme %q", spec)
-	}
-}
-
-// parseAxB extracts B from an "AxB" spec (the A is derived from the
-// block size anyway) or accepts a bare prime.
-func parseAxB(s string) (int, error) {
-	if i := strings.IndexByte(s, 'x'); i >= 0 {
-		s = s[i+1:]
-	}
-	b, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("cannot parse B from %q", s)
-	}
-	return b, nil
 }
 
 func parseWorkload(spec string, pages int, seed int64) (workload.Generator, error) {
@@ -137,7 +79,7 @@ func parseLeveler(spec string, pages, psi int, seed int64) (wearlevel.Leveler, e
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("aegissim", flag.ContinueOnError)
 	var (
-		schemeSpec = fs.String("scheme", "aegis-9x61", "in-block recovery scheme (aegis-BxB, aegis-rw-BxB, safer-N, ecp-N, rdis-3, hamming)")
+		schemeSpec = fs.String("scheme", "aegis:61", "in-block recovery scheme: "+experiments.SchemeGrammar)
 		wlSpec     = fs.String("workload", "zipf", "address stream: uniform, sequential, zipf, hotspot")
 		levSpec    = fs.String("leveler", "start-gap-rand", "wear leveler: none, start-gap, start-gap-rand, security-refresh, security-refresh-2l, perfect")
 		pages      = fs.Int("pages", 32, "physical pages (power of two for security-refresh)")
@@ -154,13 +96,13 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *list {
-		fmt.Fprintln(out, "schemes:   aegis-23x23 aegis-17x31 aegis-9x61 aegis-rw-9x61 safer-32 safer-64 ecp-6 rdis-3 hamming …")
+		fmt.Fprintln(out, "schemes:  ", experiments.SchemeGrammar)
 		fmt.Fprintln(out, "workloads: uniform sequential zipf hotspot")
 		fmt.Fprintln(out, "levelers:  none start-gap start-gap-rand security-refresh security-refresh-2l perfect")
 		return nil
 	}
 
-	f, err := parseScheme(*schemeSpec, *blockBits)
+	f, err := experiments.ParseScheme(*schemeSpec, *blockBits)
 	if err != nil {
 		return err
 	}

@@ -17,7 +17,7 @@ func TestList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"aegis-9x61", "zipf", "security-refresh"} {
+	for _, want := range []string{"aegis:B", "aegis-rw-p:B:P", "hamming", "zipf", "security-refresh"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("list missing %q:\n%s", want, out)
 		}
@@ -26,7 +26,7 @@ func TestList(t *testing.T) {
 
 func TestRunSmallDevice(t *testing.T) {
 	out, err := capture(t,
-		"-scheme", "aegis-23x23", "-workload", "uniform", "-leveler", "none",
+		"-scheme", "aegis:23", "-workload", "uniform", "-leveler", "none",
 		"-pages", "8", "-pagebytes", "512", "-meanlife", "250", "-stop", "0.5", "-seed", "3")
 	if err != nil {
 		t.Fatal(err)
@@ -43,14 +43,28 @@ func TestRunSmallDevice(t *testing.T) {
 }
 
 func TestSchemeSpecs(t *testing.T) {
-	for _, spec := range []string{"aegis-9x61", "aegis-61", "aegis-rw-9x61", "safer-32", "ecp-4", "rdis-3", "hamming"} {
-		if _, err := parseScheme(spec, 512); err != nil {
-			t.Errorf("parseScheme(%q): %v", spec, err)
+	tiny := []string{"-workload", "uniform", "-leveler", "none", "-pages", "2", "-pagebytes", "64", "-meanlife", "100", "-stop", "0.9"}
+	for spec, name := range map[string]string{
+		"aegis:61":        "Aegis 9x61",
+		"aegis-p:23:4":    "Aegis-p 23x23 q=4",
+		"aegis-rw:61":     "Aegis-rw 9x61",
+		"aegis-rw-p:61:9": "Aegis-rw-p 9x61 p=9",
+		"safer:32":        "SAFER32",
+		"safer-cache:64":  "SAFER64-cache",
+		"ecp:4":           "ECP4",
+		"rdis:5":          "RDIS-5",
+		"hamming":         "Hamming(72,64)",
+	} {
+		out, err := capture(t, append([]string{"-scheme", spec}, tiny...)...)
+		if err != nil {
+			t.Errorf("-scheme %s: %v", spec, err)
+		} else if !strings.Contains(out, "under "+name+"\n") {
+			t.Errorf("-scheme %s does not run %s:\n%s", spec, name, out)
 		}
 	}
-	for _, spec := range []string{"", "aegis-", "aegis-24", "safer-x", "ecp-", "unknown"} {
-		if _, err := parseScheme(spec, 512); err == nil {
-			t.Errorf("parseScheme(%q) accepted", spec)
+	for _, spec := range []string{"", "aegis", "aegis:24", "aegis-9x61", "safer:x", "ecp-6", "hamming:7", "unknown"} {
+		if _, err := capture(t, "-scheme", spec); err == nil {
+			t.Errorf("-scheme %q accepted", spec)
 		}
 	}
 }

@@ -11,33 +11,25 @@ import (
 	"fmt"
 	"os"
 
-	"aegis/internal/aegisrw"
-	"aegis/internal/core"
-	"aegis/internal/ecc"
-	"aegis/internal/ecp"
-	"aegis/internal/failcache"
-	"aegis/internal/rdis"
+	"aegis/internal/experiments"
 	"aegis/internal/report"
-	"aegis/internal/safer"
 	"aegis/internal/scheme"
 	"aegis/internal/sim"
 	"aegis/internal/stats"
 )
 
 func main() {
-	cache := failcache.Perfect{}
-	factories := []scheme.Factory{
-		scheme.NoneFactory{Bits: 512},
-		ecc.MustFactory(512),
-		ecp.MustFactory(512, 6),
-		safer.MustFactory(512, 32),
-		safer.MustFactory(512, 64),
-		safer.MustCachedFactory(512, 64, cache),
-		rdis.MustFactory(512, 3, cache),
-		core.MustFactory(512, 23),
-		core.MustFactory(512, 61),
-		aegisrw.MustRWFactory(512, 61, cache),
-		aegisrw.MustRWPFactory(512, 61, 9, cache),
+	factories := []scheme.Factory{scheme.NoneFactory{Bits: 512}}
+	for _, spec := range []string{
+		"hamming", "ecp:6", "safer:32", "safer:64", "safer-cache:64", "rdis:3",
+		"aegis:23", "aegis:61", "aegis-rw:61", "aegis-rw-p:61:9",
+	} {
+		f, err := experiments.ParseScheme(spec, 512)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		factories = append(factories, f)
 	}
 
 	cfg := sim.Config{

@@ -5,10 +5,8 @@ import (
 
 	"aegis/internal/aegisrw"
 	"aegis/internal/core"
-	"aegis/internal/ecp"
 	"aegis/internal/rdis"
 	"aegis/internal/report"
-	"aegis/internal/safer"
 	"aegis/internal/scheme"
 	"aegis/internal/sim"
 	"aegis/internal/stats"
@@ -25,13 +23,7 @@ var AblationIDs = []string{"traffic", "latency", "softftc", "memblock", "oscapac
 // feedback loop under per-pulse wear — the effect the paper alludes to
 // when crediting Aegis-rw with "removing extra inversion writes".
 func AblationWear(p Params) (*report.Table, error) {
-	factories := []scheme.Factory{
-		ecp.MustFactory(512, 6),
-		safer.MustFactory(512, 64),
-		core.MustFactory(512, 23),
-		core.MustFactory(512, 61),
-		aegisrw.MustRWFactory(512, 61, cache),
-	}
+	factories := mustParse(512, "ecp:6", "safer:64", "aegis:23", "aegis:61", "aegis-rw:61")
 	t := &report.Table{
 		Title:  "Ablation: request-scoped wear (paper model) vs per-pulse wear (physical)",
 		Header: []string{"scheme", "overhead bits", "lifetime request-wear", "lifetime pulse-wear", "pulse/request"},
@@ -155,12 +147,7 @@ func AblationRDIS(p Params) (*report.Table, error) {
 // variants.
 func AblationAegisP(p Params) (*report.Table, error) {
 	const maxFaults = 24
-	factories := []scheme.Factory{
-		core.MustFactory(512, 23),     // 28 bits
-		core.MustPFactory(512, 23, 8), // 46 bits
-		core.MustPFactory(512, 23, 4), // 26 bits
-		core.MustPFactory(512, 23, 2), // 16 bits
-	}
+	factories := mustParse(512, "aegis:23", "aegis-p:23:8", "aegis-p:23:4", "aegis-p:23:2") // 28, 46, 26, 16 bits
 	t := &report.Table{
 		Title:  "Ablation: Aegis-p (recorded inverted-group IDs, §2.3) vs the B-bit inversion vector",
 		Header: []string{"faults"},

@@ -3,12 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"aegis/internal/core"
 	"aegis/internal/device"
-	"aegis/internal/ecp"
 	"aegis/internal/report"
-	"aegis/internal/safer"
-	"aegis/internal/scheme"
 	"aegis/internal/stats"
 	"aegis/internal/wearlevel"
 	"aegis/internal/workload"
@@ -26,12 +22,7 @@ func Device(p Params) *report.Table {
 		pageBytes = 1024 // 16 blocks of 512 bits per page: fast but real
 		reps      = 4
 	)
-	schemes := []scheme.Factory{
-		ecp.MustFactory(512, 6),
-		safer.MustFactory(512, 32),
-		core.MustFactory(512, 23),
-		core.MustFactory(512, 61),
-	}
+	schemes := mustParse(512, "ecp:6", "safer:32", "aegis:23", "aegis:61")
 	t := &report.Table{
 		Title:  "End-to-end device: Zipf traffic + randomized Start-Gap + OS pairing, by in-block scheme",
 		Header: []string{"scheme", "overhead bits", "writes to half capacity", "vs ECP6", "redirected", "pair-served"},

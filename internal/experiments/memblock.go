@@ -3,11 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"aegis/internal/core"
-	"aegis/internal/ecp"
 	"aegis/internal/report"
-	"aegis/internal/safer"
-	"aegis/internal/scheme"
 	"aegis/internal/sim"
 	"aegis/internal/stats"
 )
@@ -20,14 +16,7 @@ import (
 // on its weakest-of-4 rather than weakest-of-64 block and absolute
 // counts shift — but the scheme ordering must hold.
 func MemBlock(p Params) (*report.Table, error) {
-	factories := []scheme.Factory{
-		ecp.MustFactory(512, 6),
-		safer.MustFactory(512, 32),
-		safer.MustFactory(512, 64),
-		core.MustFactory(512, 23),
-		core.MustFactory(512, 31),
-		core.MustFactory(512, 61),
-	}
+	factories := mustParse(512, "ecp:6", "safer:32", "safer:64", "aegis:23", "aegis:31", "aegis:61")
 	t := &report.Table{
 		Title:  "Memory-block size: 256 B vs 4 KB units (512-bit data blocks)",
 		Header: []string{"scheme", "overhead bits", "faults/256B", "faults/4KB", "faults per data block (256B)", "(4KB)"},

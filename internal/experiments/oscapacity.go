@@ -5,11 +5,8 @@ import (
 	"fmt"
 	"sort"
 
-	"aegis/internal/core"
-	"aegis/internal/ecp"
 	"aegis/internal/osmem"
 	"aegis/internal/report"
-	"aegis/internal/scheme"
 	"aegis/internal/sim"
 )
 
@@ -25,10 +22,7 @@ func OSCapacity(p Params) (*report.Table, error) {
 		pages         = 128
 		blocksPerPage = 64
 	)
-	schemes := []scheme.Factory{
-		ecp.MustFactory(512, 1),
-		core.MustFactory(512, 61),
-	}
+	schemes := mustParse(512, "ecp:1", "aegis:61")
 
 	// Capacity thresholds whose crossing times the table reports.
 	thresholds := []float64{0.9, 0.5, 0.1}

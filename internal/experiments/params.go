@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"fmt"
 	"hash/fnv"
 
 	"aegis/internal/engine"
@@ -125,6 +126,19 @@ func Full() Params {
 		SurvivalPages: 128,
 		Seed:          1,
 	}
+}
+
+// Preset returns the named preset: quick, default or full.
+func Preset(name string) (Params, error) {
+	switch name {
+	case "quick":
+		return Quick(), nil
+	case "default":
+		return Default(), nil
+	case "full":
+		return Full(), nil
+	}
+	return Params{}, fmt.Errorf("unknown preset %q (quick, default, full)", name)
 }
 
 // schemeSeed derives a per-scheme seed from the run seed, stable across

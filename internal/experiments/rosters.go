@@ -1,79 +1,56 @@
 package experiments
 
 import (
-	"aegis/internal/aegisrw"
-	"aegis/internal/core"
-	"aegis/internal/ecp"
-	"aegis/internal/failcache"
-	"aegis/internal/rdis"
-	"aegis/internal/safer"
+	"fmt"
+
 	"aegis/internal/scheme"
 )
 
-// cache is the idealized fail cache the paper grants RDIS always and the
-// rw variants / SAFERN-cache when evaluated.
-var cache = failcache.Perfect{}
+// mustParse parses a lineup of scheme specs at one block size; rosters
+// are fixed at compile time, so a spec that does not parse is a bug.
+func mustParse(blockBits int, specs ...string) []scheme.Factory {
+	out := make([]scheme.Factory, len(specs))
+	for i, spec := range specs {
+		f, err := ParseScheme(spec, blockBits)
+		if err != nil {
+			panic(err)
+		}
+		out[i] = f
+	}
+	return out
+}
 
 // roster512 is the scheme lineup of Figures 5–9 for 512-bit data blocks.
 func roster512() []scheme.Factory {
-	return []scheme.Factory{
-		ecp.MustFactory(512, 4),
-		ecp.MustFactory(512, 5),
-		ecp.MustFactory(512, 6),
-		safer.MustFactory(512, 32),
-		safer.MustFactory(512, 64),
-		safer.MustFactory(512, 128),
-		safer.MustCachedFactory(512, 32, cache),
-		safer.MustCachedFactory(512, 64, cache),
-		safer.MustCachedFactory(512, 128, cache),
-		rdis.MustFactory(512, 3, cache),
-		core.MustFactory(512, 23), // Aegis 23x23
-		core.MustFactory(512, 31), // Aegis 17x31
-		core.MustFactory(512, 61), // Aegis 9x61
-	}
+	return mustParse(512,
+		"ecp:4", "ecp:5", "ecp:6",
+		"safer:32", "safer:64", "safer:128",
+		"safer-cache:32", "safer-cache:64", "safer-cache:128",
+		"rdis:3",
+		"aegis:23", "aegis:31", "aegis:61") // Aegis 23x23, 17x31, 9x61
 }
 
 // roster256 is the 256-bit-block lineup of Figure 5 (left half) and the
 // 256-bit columns of Figures 6–7.
 func roster256() []scheme.Factory {
-	return []scheme.Factory{
-		ecp.MustFactory(256, 4),
-		ecp.MustFactory(256, 6),
-		safer.MustFactory(256, 32),
-		safer.MustFactory(256, 64),
-		rdis.MustFactory(256, 3, cache),
-		core.MustFactory(256, 23), // Aegis 12x23
-		core.MustFactory(256, 31), // Aegis 9x31
-	}
+	return mustParse(256,
+		"ecp:4", "ecp:6", "safer:32", "safer:64", "rdis:3",
+		"aegis:23", "aegis:31") // Aegis 12x23, 9x31
 }
 
 // roster8 is the Figure 8 lineup (block failure probability, 512-bit).
 func roster8() []scheme.Factory {
-	return []scheme.Factory{
-		ecp.MustFactory(512, 6),
-		safer.MustFactory(512, 32),
-		safer.MustFactory(512, 64),
-		safer.MustFactory(512, 128),
-		safer.MustCachedFactory(512, 64, cache),
-		safer.MustCachedFactory(512, 128, cache),
-		rdis.MustFactory(512, 3, cache),
-		core.MustFactory(512, 31),
-		core.MustFactory(512, 61),
-	}
+	return mustParse(512,
+		"ecp:6", "safer:32", "safer:64", "safer:128",
+		"safer-cache:64", "safer-cache:128", "rdis:3",
+		"aegis:31", "aegis:61")
 }
 
 // roster9 is the Figure 9 lineup (page survival, 512-bit).
 func roster9() []scheme.Factory {
-	return []scheme.Factory{
-		ecp.MustFactory(512, 6),
-		safer.MustFactory(512, 32),
-		safer.MustCachedFactory(512, 32, cache),
-		safer.MustFactory(512, 64),
-		safer.MustFactory(512, 128),
-		safer.MustCachedFactory(512, 128, cache),
-		core.MustFactory(512, 31),
-		core.MustFactory(512, 61),
-	}
+	return mustParse(512,
+		"ecp:6", "safer:32", "safer-cache:32", "safer:64",
+		"safer:128", "safer-cache:128", "aegis:31", "aegis:61")
 }
 
 // variantLayouts are the A×B formations of Figures 10–13 with the
@@ -91,13 +68,12 @@ var variantLayouts = []struct {
 // rosterVariants is the Figure 11–13 lineup: Aegis, Aegis-rw and
 // Aegis-rw-p for each formation.
 func rosterVariants() []scheme.Factory {
-	var out []scheme.Factory
+	var specs []string
 	for _, v := range variantLayouts {
-		out = append(out,
-			core.MustFactory(512, v.B),
-			aegisrw.MustRWFactory(512, v.B, cache),
-			aegisrw.MustRWPFactory(512, v.B, v.Pointers, cache),
-		)
+		specs = append(specs,
+			fmt.Sprintf("aegis:%d", v.B),
+			fmt.Sprintf("aegis-rw:%d", v.B),
+			fmt.Sprintf("aegis-rw-p:%d:%d", v.B, v.Pointers))
 	}
-	return out
+	return mustParse(512, specs...)
 }

@@ -3,11 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"aegis/internal/aegisrw"
-	"aegis/internal/core"
-	"aegis/internal/ecp"
 	"aegis/internal/report"
-	"aegis/internal/safer"
 	"aegis/internal/scheme"
 	"aegis/internal/sim"
 )
@@ -44,12 +40,7 @@ func trafficCurves(p Params, study string, maxFaults int, factories []scheme.Fac
 // fail cache eliminates them.
 func Traffic(p Params) (*report.Table, error) {
 	const maxFaults = 24
-	factories := []scheme.Factory{
-		safer.MustFactory(512, 64),
-		core.MustFactory(512, 23),
-		core.MustFactory(512, 61),
-		aegisrw.MustRWFactory(512, 61, cache),
-	}
+	factories := mustParse(512, "safer:64", "aegis:23", "aegis:61", "aegis-rw:61")
 	curves, err := trafficCurves(p, "traffic", maxFaults, factories)
 	if err != nil {
 		return nil, err
@@ -88,12 +79,7 @@ func Traffic(p Params) (*report.Table, error) {
 // the fail cache removes the extra writes.
 func Latency(p Params) (*report.Table, error) {
 	const maxFaults = 20
-	factories := []scheme.Factory{
-		ecp.MustFactory(512, 6),
-		safer.MustFactory(512, 64),
-		core.MustFactory(512, 61),
-		aegisrw.MustRWFactory(512, 61, cache),
-	}
+	factories := mustParse(512, "ecp:6", "safer:64", "aegis:61", "aegis-rw:61")
 	curves, err := trafficCurves(p, "latency", maxFaults, factories)
 	if err != nil {
 		return nil, err

@@ -45,7 +45,8 @@ const (
 type JobRequest struct {
 	// Kind selects the simulation: blocks, pages or curve.
 	Kind string `json:"kind"`
-	// Scheme selects the fault-recovery scheme (see SchemeGrammar).
+	// Scheme selects the fault-recovery scheme (see
+	// experiments.SchemeGrammar).
 	Scheme string `json:"scheme"`
 	// Preset scales the Monte Carlo effort: quick, default or full
 	// (default quick — a service should answer promptly unless asked
@@ -101,19 +102,6 @@ func reqErr(field, format string, args ...any) *RequestError {
 	return &RequestError{Field: field, Message: fmt.Sprintf(format, args...)}
 }
 
-// presetParams maps a request preset name onto the experiment presets.
-func presetParams(name string) (experiments.Params, error) {
-	switch name {
-	case "", "quick":
-		return experiments.Quick(), nil
-	case "default":
-		return experiments.Default(), nil
-	case "full":
-		return experiments.Full(), nil
-	}
-	return experiments.Params{}, fmt.Errorf("unknown preset %q (quick, default, full)", name)
-}
-
 // normalize validates the request, fills every defaulted field in
 // place, and resolves the scheme factory.  After normalize the request
 // is fully explicit, which is what makes its canonical hash stable.
@@ -125,23 +113,23 @@ func (r *JobRequest) normalize() (scheme.Factory, error) {
 	default:
 		return nil, reqErr("kind", "unknown kind %q (blocks, pages, curve)", r.Kind)
 	}
-	p, err := presetParams(r.Preset)
-	if err != nil {
-		return nil, reqErr("preset", "%v", err)
-	}
 	if r.Preset == "" {
 		r.Preset = "quick"
+	}
+	p, err := experiments.Preset(r.Preset)
+	if err != nil {
+		return nil, reqErr("preset", "%v", err)
 	}
 	if r.BlockBits == 0 {
 		r.BlockBits = 512
 	}
-	if r.BlockBits < 0 {
-		return nil, reqErr("block_bits", "must be positive, got %d", r.BlockBits)
+	if r.BlockBits < 0 || r.BlockBits > experiments.MaxBlockBits {
+		return nil, reqErr("block_bits", "must be between 1 and %d, got %d", experiments.MaxBlockBits, r.BlockBits)
 	}
 	if r.Scheme == "" {
-		return nil, reqErr("scheme", "required (grammar: %s)", SchemeGrammar)
+		return nil, reqErr("scheme", "required (grammar: %s)", experiments.SchemeGrammar)
 	}
-	f, err := ResolveScheme(r.Scheme, r.BlockBits)
+	f, err := experiments.ParseScheme(r.Scheme, r.BlockBits)
 	if err != nil {
 		return nil, reqErr("scheme", "%v", err)
 	}
@@ -222,7 +210,7 @@ func (r *JobRequest) SimConfig() sim.Config { return r.config() }
 // config builds the sim.Config a normalized request describes.  The
 // preset supplies the lifetime scale (see DESIGN.md §3).
 func (r *JobRequest) config() sim.Config {
-	p, _ := presetParams(r.Preset) // normalize already validated it
+	p, _ := experiments.Preset(r.Preset) // normalize already validated it
 	return sim.Config{
 		BlockBits: r.BlockBits,
 		PageBytes: r.PageBytes,

@@ -223,6 +223,11 @@ func TestInvalidPayloads(t *testing.T) {
 		{"unknown scheme family", `{"kind":"blocks","scheme":"hamming:7"}`, "scheme"},
 		{"scheme arity", `{"kind":"blocks","scheme":"aegis:61:9"}`, "scheme"},
 		{"scheme non-integer", `{"kind":"blocks","scheme":"aegis:many"}`, "scheme"},
+		{"pointer budget beyond B", `{"kind":"blocks","scheme":"aegis-rw-p:61:4611686018427387904","trials":2}`, "scheme"},
+		{"aegis-p budget beyond B", `{"kind":"blocks","scheme":"aegis-p:61:62"}`, "scheme"},
+		{"mask table of B=509", `{"kind":"blocks","scheme":"aegis:509"}`, "scheme"},
+		{"mask table of B=10007", `{"kind":"blocks","scheme":"aegis:10007"}`, "scheme"},
+		{"ecp entries beyond cells", `{"kind":"blocks","scheme":"ecp:1000000000"}`, "scheme"},
 		{"bad preset", `{"kind":"blocks","scheme":"aegis:61","preset":"huge"}`, "preset"},
 		{"negative trials", `{"kind":"blocks","scheme":"aegis:61","trials":-3}`, "trials"},
 		{"negative block bits", `{"kind":"blocks","scheme":"aegis:61","block_bits":-512}`, "block_bits"},
@@ -234,6 +239,7 @@ func TestInvalidPayloads(t *testing.T) {
 		{"lanes beyond word", `{"kind":"blocks","scheme":"aegis:61","lanes":65}`, "lanes"},
 		{"negative timeout", `{"kind":"blocks","scheme":"aegis:61","timeout_seconds":-2}`, "timeout_seconds"},
 		{"unknown field", `{"kind":"blocks","scheme":"aegis:61","cheese":1}`, ""},
+		{"block bits beyond bound", `{"kind":"blocks","scheme":"aegis:61","block_bits":1099511627776}`, "block_bits"},
 		{"malformed json", `{"kind":`, ""},
 		{"non-object", `42`, ""},
 	}
@@ -251,6 +257,30 @@ func TestInvalidPayloads(t *testing.T) {
 				t.Fatalf("error field %q, want %q (message: %s)", field, tc.field, msg)
 			}
 		})
+	}
+}
+
+// TestHostileSpecsKeepDaemonUp: specs whose parameters would crash a
+// trial or exhaust memory are refused at submit, and the daemon keeps
+// answering and running jobs afterwards.
+func TestHostileSpecsKeepDaemonUp(t *testing.T) {
+	_, base := testServer(t, serve.Options{Workers: 1})
+	for _, spec := range []string{"aegis-rw-p:61:4611686018427387904", "aegis:1009", "aegis:10007", "ecp:1000000000"} {
+		body := fmt.Sprintf(`{"kind":"blocks","scheme":%q,"trials":2}`, spec)
+		if code, m := postJob(t, base, body); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, body %v", spec, code, m)
+		}
+	}
+	var h map[string]any
+	if code := getJSON(t, base+"/v1/healthz", &h); code != http.StatusOK || h["status"] != "ok" {
+		t.Fatalf("healthz: %d %v", code, h)
+	}
+	code, m := postJob(t, base, smallJob)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after hostile specs: %d %v", code, m)
+	}
+	if st := waitDone(t, base, m["id"].(string)); st.State != serve.StateDone {
+		t.Fatalf("job after hostile specs ended %q", st.State)
 	}
 }
 
