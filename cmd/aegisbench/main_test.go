@@ -380,8 +380,8 @@ func TestMarkdownFormat(t *testing.T) {
 }
 
 // TestDebugMux: the -http surface is the same operational mux aegisd
-// mounts — /metrics with bridged scheme counters and bench progress
-// gauges, expvar at /debug/vars, pprof, plus the per-binary progress
+// mounts — /metrics with the run registry's scheme counters and bench
+// progress gauges, expvar at /debug/vars, pprof, plus the per-binary progress
 // JSON.
 func TestDebugMux(t *testing.T) {
 	reg := obs.NewRegistry()

@@ -93,13 +93,12 @@ func writeHeapProfile(path string) error {
 	return cerr
 }
 
-// debugRegistry and debugProgress hold the observables the -http
-// endpoint serves.  Pointer swaps (rather than capturing one run's
-// registry or tracker in a handler closure) keep repeated in-process
-// runs serving the current run's state.
+// debugRegistry holds the registry the process-global expvar variable
+// reads.  A pointer swap (rather than capturing one run's registry in
+// the published closure) keeps repeated in-process runs publishing the
+// current run's counters.
 var (
 	debugRegistry atomic.Pointer[obs.Registry]
-	debugProgress atomic.Pointer[obs.Progress]
 	publishOnce   sync.Once
 )
 
@@ -116,39 +115,32 @@ func publishCounters(reg *obs.Registry) {
 }
 
 // progressHandler serves the JSON form of the live progress line.
-func progressHandler() http.Handler {
+func progressHandler(prog *obs.Progress) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(debugProgress.Load().Snapshot())
+		_ = enc.Encode(prog.Snapshot())
 	})
 }
 
-// newDebugMetrics builds the harness's explicit metric families: the
-// run's live progress as scrape-time gauges, served next to the bridged
-// per-scheme and shard-cache families of the registry.
-func newDebugMetrics() *obs.Metrics {
-	m := obs.NewMetrics()
-	m.GaugeFunc("aegis_bench_trials_done", "Monte Carlo trials the current run has completed.",
-		func() float64 { return float64(debugProgress.Load().Snapshot().TrialsDone) })
-	m.GaugeFunc("aegis_bench_trials_total", "Monte Carlo trials the current run has registered.",
-		func() float64 { return float64(debugProgress.Load().Snapshot().TrialsTotal) })
-	m.GaugeFunc("aegis_bench_trials_per_second", "Average trial completion rate of the current run.",
-		func() float64 { return debugProgress.Load().Snapshot().TrialsPerSec })
-	return m
-}
-
-// newDebugMux builds the -http surface: the shared operational endpoints
-// of obs.RegisterDebug — GET /metrics (Prometheus text exposition),
-// /debug/pprof/* and /debug/vars, the identical surface aegisd mounts —
-// plus the per-binary /debug/aegis/progress.
+// newDebugMux builds the -http surface over the run's registry: the
+// shared operational endpoints of obs.RegisterDebug — GET /metrics
+// (Prometheus text exposition), /debug/pprof/* and /debug/vars, the
+// identical surface aegisd mounts — plus the per-binary
+// /debug/aegis/progress.  The run's live progress registers on reg as
+// scrape-time gauges, next to its per-scheme and shard-cache families.
 func newDebugMux(reg *obs.Registry, prog *obs.Progress) *http.ServeMux {
 	publishCounters(reg)
-	debugProgress.Store(prog)
+	reg.GaugeFunc("aegis_bench_trials_done", "Monte Carlo trials the current run has completed.",
+		func() float64 { return float64(prog.Snapshot().TrialsDone) })
+	reg.GaugeFunc("aegis_bench_trials_total", "Monte Carlo trials the current run has registered.",
+		func() float64 { return float64(prog.Snapshot().TrialsTotal) })
+	reg.GaugeFunc("aegis_bench_trials_per_second", "Average trial completion rate of the current run.",
+		func() float64 { return prog.Snapshot().TrialsPerSec })
 	mux := http.NewServeMux()
-	obs.RegisterDebug(mux, newDebugMetrics(), func() *obs.Registry { return debugRegistry.Load() }, nil)
-	mux.Handle("GET /debug/aegis/progress", progressHandler())
+	obs.RegisterDebug(mux, reg, nil)
+	mux.Handle("GET /debug/aegis/progress", progressHandler(prog))
 	return mux
 }
 

@@ -291,7 +291,7 @@ func runWorker(cfg workerConfig, logger *slog.Logger) error {
 		cfg.advertise = "http://" + bound
 	}
 
-	metrics := obs.NewMetrics()
+	metrics := obs.NewRegistry()
 	w := cluster.NewWorker(cluster.WorkerOptions{
 		Name:     cfg.name,
 		CacheDir: cfg.cacheDir,
@@ -300,7 +300,7 @@ func runWorker(cfg workerConfig, logger *slog.Logger) error {
 	})
 	mux := http.NewServeMux()
 	mux.Handle("/", w.Handler())
-	obs.RegisterDebug(mux, metrics, nil, nil)
+	obs.RegisterDebug(mux, metrics, nil)
 	httpSrv := &http.Server{Handler: mux}
 
 	v := serve.Version()

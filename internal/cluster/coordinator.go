@@ -46,9 +46,9 @@ type Options struct {
 	// races: the coordinator may accept a job before the first worker
 	// registers.
 	WorkerWait time.Duration
-	// Metrics receives the aegis_cluster_* instrument families (nil =
-	// unregistered, the coordinator still works).
-	Metrics *obs.Metrics
+	// Metrics is the daemon's registry the aegis_cluster_* families
+	// register on (nil = unregistered, the coordinator still works).
+	Metrics *obs.Registry
 	// Logger receives coordinator records (nil = log nothing).
 	Logger *slog.Logger
 	// HTTPClient overrides the transport used to reach workers (tests
@@ -98,7 +98,7 @@ type metrics struct {
 	roundtrip     *obs.Histogram
 }
 
-func newMetrics(m *obs.Metrics, reg *registry) *metrics {
+func newMetrics(m *obs.Registry, reg *registry) *metrics {
 	if m == nil {
 		return nil
 	}

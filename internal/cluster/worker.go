@@ -26,9 +26,9 @@ type WorkerOptions struct {
 	// Lanes overrides the bit-sliced lane width like the daemon flag of
 	// the same name (0 = the request's value, itself scalar by default).
 	Lanes int
-	// Metrics receives the worker's instrument families (nil =
+	// Metrics is the registry the worker's families register on (nil =
 	// unregistered).
-	Metrics *obs.Metrics
+	Metrics *obs.Registry
 	// Logger receives worker records (nil = log nothing).
 	Logger *slog.Logger
 	// HTTPClient overrides the transport used to reach the coordinator.

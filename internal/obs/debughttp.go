@@ -14,25 +14,15 @@ import (
 // aegisbench a single run's — but lives at the same /debug/aegis/
 // progress path in both.
 
-// MetricsHandler serves the combined metrics surface in Prometheus text
-// exposition format: the explicit families of m, the bridged per-scheme
-// and shard-cache families of the Registry reg returns, the Go runtime
-// basics and the build-info pseudo-metric.  m and the returned Registry
-// may be nil; reg is a function so servers that swap registries between
-// runs always expose the current one.  Family names must be disjoint
-// between m and the Registry bridge (the aegis_scheme_* and
-// aegis_shard_* prefixes are reserved for the bridge).
-func MetricsHandler(m *Metrics, reg func() *Registry) http.Handler {
+// MetricsHandler serves the metrics surface in Prometheus text
+// exposition format: every family of reg, then the build-info
+// pseudo-metric and the Go runtime basics.  reg may be nil.
+func MetricsHandler(reg *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", PromContentType)
-		if m != nil {
-			if err := m.WritePrometheus(w); err != nil {
-				return // client went away; nothing to do
-			}
-		}
 		if reg != nil {
-			if err := WriteRegistry(w, reg()); err != nil {
-				return
+			if err := reg.WritePrometheus(w); err != nil {
+				return // client went away; nothing to do
 			}
 		}
 		if err := WriteBuildInfo(w); err != nil {
@@ -48,14 +38,14 @@ func MetricsHandler(m *Metrics, reg func() *Registry) http.Handler {
 // mounts handlers unwrapped.
 type Middleware func(route string, h http.Handler) http.Handler
 
-// RegisterDebug mounts the shared debug surface on mux: GET /metrics,
-// the net/http/pprof handlers under /debug/pprof/ and the process
-// expvar state at /debug/vars.
-func RegisterDebug(mux *http.ServeMux, m *Metrics, reg func() *Registry, wrap Middleware) {
+// RegisterDebug mounts the shared debug surface on mux: GET /metrics
+// over reg, the net/http/pprof handlers under /debug/pprof/ and the
+// process expvar state at /debug/vars.
+func RegisterDebug(mux *http.ServeMux, reg *Registry, wrap Middleware) {
 	if wrap == nil {
 		wrap = func(route string, h http.Handler) http.Handler { return h }
 	}
-	mux.Handle("GET /metrics", wrap("/metrics", MetricsHandler(m, reg)))
+	mux.Handle("GET /metrics", wrap("/metrics", MetricsHandler(reg)))
 	mux.Handle("GET /debug/vars", wrap("/debug/vars", expvar.Handler()))
 	mux.Handle("GET /debug/pprof/", http.HandlerFunc(pprof.Index))
 	mux.Handle("GET /debug/pprof/cmdline", http.HandlerFunc(pprof.Cmdline))

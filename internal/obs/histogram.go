@@ -62,10 +62,14 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[bucketIndex(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-	// Lock-free running min/max.  Encodings make the zero value (empty
-	// histogram) distinguishable without a separate "initialized" flag:
-	// min stores ^v (so 0 = unset, since ^v < 0 for v ≥ 0), max stores
-	// v+1 (so 0 = unset).
+	h.extend(v)
+}
+
+// extend widens the running min/max to cover v, lock-free.  Encodings
+// make the zero value (empty histogram) distinguishable without a
+// separate "initialized" flag: min stores ^v (so 0 = unset, since ^v < 0
+// for v ≥ 0), max stores v+1 (so 0 = unset).
+func (h *Histogram) extend(v int64) {
 	for {
 		cur := h.min.Load()
 		if cur != 0 && ^cur <= v {
@@ -101,26 +105,8 @@ func (h *Histogram) Merge(t HistTotals) {
 	}
 	h.count.Add(t.Count)
 	h.sum.Add(t.Sum)
-	for _, v := range [2]int64{t.Min, t.Max} {
-		for {
-			cur := h.min.Load()
-			if cur != 0 && ^cur <= v {
-				break
-			}
-			if h.min.CompareAndSwap(cur, ^v) {
-				break
-			}
-		}
-		for {
-			cur := h.max.Load()
-			if cur != 0 && cur-1 >= v {
-				break
-			}
-			if h.max.CompareAndSwap(cur, v+1) {
-				break
-			}
-		}
-	}
+	h.extend(t.Min)
+	h.extend(t.Max)
 }
 
 // Bucket is one non-empty histogram bucket in snapshot form: N values
@@ -230,26 +216,28 @@ func (t HistTotals) Plus(u HistTotals) HistTotals {
 	return out
 }
 
-// SchemeHistograms groups the per-scheme distributions the Monte Carlo
-// engine records, the distributional counterpart of SchemeCounters:
-// where the counters say how much work a scheme did in total, the
-// histograms say how that work (and the resulting lifetimes) spread
-// across blocks and requests — the per-block recovery dynamics RDIS and
-// SAFER argue are the real cost driver.
+// SchemeHistograms is the view of the per-scheme distributions the Monte
+// Carlo engine records, the distributional counterpart of
+// SchemeCounters: where the counters say how much work a scheme did in
+// total, the histograms say how that work (and the resulting lifetimes)
+// spread across blocks and requests — the per-block recovery dynamics
+// RDIS and SAFER argue are the real cost driver.  Each field is the
+// scheme's series of one aegis_scheme_* histogram family
+// (Registry.Histograms).
 type SchemeHistograms struct {
 	// Lifetime is the per-trial lifetime in successful writes (block
 	// writes for block studies, page writes for page studies).
-	Lifetime Histogram
+	Lifetime *Histogram
 	// Repartitions is the number of partition-configuration changes one
 	// block instance consumed over its life.
-	Repartitions Histogram
+	Repartitions *Histogram
 	// SalvageDepth is the number of verification passes a salvaged
 	// write request needed before it succeeded (≥ 2: the first pass
 	// failed, a later one passed).
-	SalvageDepth Histogram
+	SalvageDepth *Histogram
 	// ExtraWrites is the number of extra physical writes (beyond one
 	// per request) one block instance issued over its life.
-	ExtraWrites Histogram
+	ExtraWrites *Histogram
 }
 
 // HistSnapshot is the plain-value snapshot of SchemeHistograms, the form

@@ -137,7 +137,7 @@ func TestHistogramConcurrent(t *testing.T) {
 }
 
 func TestSchemeHistogramsTotals(t *testing.T) {
-	var sh SchemeHistograms
+	sh := NewRegistry().Histograms("x")
 	sh.Lifetime.Observe(42)
 	sh.Repartitions.Observe(3)
 	sh.SalvageDepth.Observe(2)

@@ -29,7 +29,7 @@ func sampleManifest() *Manifest {
 		Notes:  []string{"scaled"},
 	}}
 	m.Series = []Series{{Name: "Aegis 9x61", Points: []Point{{X: 1, Y: 0.5}}}}
-	var sh SchemeHistograms
+	sh := NewRegistry().Histograms("Aegis 9x61")
 	sh.Lifetime.Observe(42)
 	sh.Repartitions.Observe(3)
 	sh.SalvageDepth.Observe(2)

@@ -43,13 +43,14 @@ func TestHistogramMergeEquivalence(t *testing.T) {
 // TestHistSnapshotPlusEquivalence mirrors the same property for the
 // pure-value Plus path the shard merger uses.
 func TestHistSnapshotPlusEquivalence(t *testing.T) {
-	var direct, a, b SchemeHistograms
+	r := NewRegistry()
+	direct, a, b := r.Histograms("direct"), r.Histograms("a"), r.Histograms("b")
 	for i := int64(0); i < 20; i++ {
 		direct.Lifetime.Observe(i * 3)
 		direct.ExtraWrites.Observe(i)
-		h := &a
+		h := a
 		if i >= 8 {
-			h = &b
+			h = b
 		}
 		h.Lifetime.Observe(i * 3)
 		h.ExtraWrites.Observe(i)
@@ -78,7 +79,7 @@ func TestRegistryAddTotalsAndHist(t *testing.T) {
 	replayed := NewRegistry()
 	replayed.AddTotals("A", Totals{Writes: 4, Salvages: 1})
 	replayed.AddTotals("A", Totals{Writes: 6, Salvages: 2})
-	var h SchemeHistograms
+	h := NewRegistry().Histograms("A")
 	h.Lifetime.Observe(42)
 	replayed.AddHist("A", h.Totals())
 

@@ -8,10 +8,9 @@ import (
 	"sync/atomic"
 )
 
-// This file is the service-metrics half of the observability layer: a
-// dependency-free registry of named metric families — counters, gauges
-// and the package's lock-free log-bucket Histograms — rendered in
-// Prometheus text exposition format (promtext.go) at GET /metrics on
+// This file holds the named metric families of Registry — counters,
+// gauges and the package's lock-free log-bucket Histograms — rendered
+// in Prometheus text exposition format (promtext.go) at GET /metrics on
 // aegisd and aegisbench -http.  It deliberately reimplements the tiny
 // subset of a metrics client the harness needs instead of importing
 // one: instruments are the existing atomic types, so recording on the
@@ -115,32 +114,15 @@ func (f *family) snapshot() []*series {
 	return out
 }
 
-// Metrics is a registry of metric families.  Registration methods are
-// idempotent: asking for the same family name and label set returns the
-// same instrument, so hot paths may re-register per request instead of
-// caching the instrument (registration is one mutex acquisition and a
-// map lookup).  Registering one name with two different kinds or help
-// strings is a programming error and panics.  The zero value is not
-// usable; call NewMetrics.
-type Metrics struct {
-	mu       sync.Mutex
-	families map[string]*family
-}
-
-// NewMetrics returns an empty metrics registry.
-func NewMetrics() *Metrics {
-	return &Metrics{families: make(map[string]*family)}
-}
-
 // family resolves (or creates) the named family and checks the kind
 // contract.
-func (m *Metrics) family(name, help, kind string) *family {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.families[name]
+func (r *Registry) family(name, help, kind string) *family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f, ok := r.families[name]
 	if !ok {
 		f = &family{name: name, help: help, kind: kind, series: make(map[string]*series)}
-		m.families[name] = f
+		r.families[name] = f
 		return f
 	}
 	if f.kind != kind {
@@ -151,8 +133,8 @@ func (m *Metrics) family(name, help, kind string) *family {
 
 // Counter returns the counter registered under name and labels,
 // creating both the family and the series on first use.
-func (m *Metrics) Counter(name, help string, labels ...Label) *Counter {
-	s := m.family(name, help, kindCounter).get(labels, func() *series {
+func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
+	s := r.family(name, help, kindCounter).get(labels, func() *series {
 		return &series{counter: &Counter{}}
 	})
 	if s.counter == nil {
@@ -163,19 +145,20 @@ func (m *Metrics) Counter(name, help string, labels ...Label) *Counter {
 
 // CounterFunc registers a counter series whose value is read from fn at
 // exposition time.  The function must be monotonically non-decreasing
-// (it renders with TYPE counter) and safe for concurrent use; bridges
-// over pre-existing cumulative state (runtime totals, drained
-// registries) use this instead of double-counting into a Counter.
-func (m *Metrics) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	m.family(name, help, kindCounter).get(labels, func() *series {
+// (it renders with TYPE counter) and safe for concurrent use; exports
+// of cumulative state another component already keeps (a worker's
+// lease tallies, say) use this instead of double-counting into a
+// Counter.
+func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
+	r.family(name, help, kindCounter).get(labels, func() *series {
 		return &series{fn: fn}
 	})
 }
 
 // Gauge returns the gauge registered under name and labels, creating
 // both the family and the series on first use.
-func (m *Metrics) Gauge(name, help string, labels ...Label) *Gauge {
-	s := m.family(name, help, kindGauge).get(labels, func() *series {
+func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
+	s := r.family(name, help, kindGauge).get(labels, func() *series {
 		return &series{gauge: &Gauge{}}
 	})
 	if s.gauge == nil {
@@ -188,8 +171,8 @@ func (m *Metrics) Gauge(name, help string, labels ...Label) *Gauge {
 // exposition time.  fn must be safe for concurrent use; it runs on the
 // scrape path, so it should be cheap and must never block on locks the
 // recording paths hold across scrapes.
-func (m *Metrics) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	m.family(name, help, kindGauge).get(labels, func() *series {
+func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
+	r.family(name, help, kindGauge).get(labels, func() *series {
 		return &series{fn: fn}
 	})
 }
@@ -201,11 +184,11 @@ func (m *Metrics) GaugeFunc(name, help string, fn func() float64, labels ...Labe
 // multiplied by it, so a histogram observed in microseconds and
 // registered with scale 1e-6 exports seconds.  Scale must agree across
 // calls for one family (first registration wins; disagreement panics).
-func (m *Metrics) Histogram(name, help string, scale float64, labels ...Label) *Histogram {
+func (r *Registry) Histogram(name, help string, scale float64, labels ...Label) *Histogram {
 	if scale <= 0 {
 		scale = 1
 	}
-	s := m.family(name, help, kindHistogram).get(labels, func() *series {
+	s := r.family(name, help, kindHistogram).get(labels, func() *series {
 		return &series{hist: &Histogram{}, scale: scale}
 	})
 	if s.hist == nil {
@@ -219,13 +202,13 @@ func (m *Metrics) Histogram(name, help string, scale float64, labels ...Label) *
 
 // familiesSorted snapshots the family list in name order, the stable
 // rendering order of the exposition format.
-func (m *Metrics) familiesSorted() []*family {
-	m.mu.Lock()
-	out := make([]*family, 0, len(m.families))
-	for _, f := range m.families {
+func (r *Registry) familiesSorted() []*family {
+	r.mu.Lock()
+	out := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
 		out = append(out, f)
 	}
-	m.mu.Unlock()
+	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }

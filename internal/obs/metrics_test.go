@@ -9,7 +9,7 @@ import (
 // TestMetricsIdempotentRegistration: re-registering the same family and
 // label set returns the same instrument, so hot paths need not cache.
 func TestMetricsIdempotentRegistration(t *testing.T) {
-	m := NewMetrics()
+	m := NewRegistry()
 	a := m.Counter("x_total", "help", L("k", "v"))
 	b := m.Counter("x_total", "help", L("k", "v"))
 	if a != b {
@@ -33,7 +33,7 @@ func TestMetricsIdempotentRegistration(t *testing.T) {
 
 // TestMetricsKindMismatchPanics: one name cannot be two kinds.
 func TestMetricsKindMismatchPanics(t *testing.T) {
-	m := NewMetrics()
+	m := NewRegistry()
 	m.Counter("x_total", "help")
 	defer func() {
 		if recover() == nil {
@@ -60,7 +60,7 @@ func TestGaugeOps(t *testing.T) {
 // and rendering from multiple goroutines; run under -race this pins the
 // registry's locking.
 func TestConcurrentRegistrationAndRender(t *testing.T) {
-	m := NewMetrics()
+	m := NewRegistry()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

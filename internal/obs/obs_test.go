@@ -16,9 +16,9 @@ func TestRegistryRegistration(t *testing.T) {
 	if again := r.Scheme("Aegis 9x61"); again != a {
 		t.Fatal("repeated registration returned a different pointer")
 	}
-	want := []string{"Aegis 9x61", "SAFER32"}
-	if got := r.Names(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Names() = %v, want %v", got, want)
+	want := map[string]Totals{"Aegis 9x61": {}, "SAFER32": {}}
+	if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Snapshot() = %v, want %v", got, want)
 	}
 }
 
@@ -80,19 +80,6 @@ func TestTotalsPlus(t *testing.T) {
 	want := Totals{Writes: 11, RawWrites: 22, VerifyReads: 33, Inversions: 44, Repartitions: 55, Salvages: 66, BitWrites: 99, BlockDeaths: 77, PageDeaths: 88}
 	if got := a.Plus(b); got != want {
 		t.Fatalf("Plus = %+v, want %+v", got, want)
-	}
-}
-
-func TestRegistryReset(t *testing.T) {
-	r := NewRegistry()
-	r.Scheme("x").Writes.Inc()
-	r.Histograms("x").Lifetime.Observe(1)
-	r.Reset()
-	if names := r.Names(); len(names) != 0 {
-		t.Fatalf("Names after Reset = %v, want empty", names)
-	}
-	if snap := r.HistSnapshot(); len(snap) != 0 {
-		t.Fatalf("HistSnapshot after Reset = %v, want empty", snap)
 	}
 }
 

@@ -4,18 +4,15 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"strconv"
 )
 
-// Prometheus text exposition (format version 0.0.4) for the metrics
-// registry of metrics.go plus two bridges: the per-scheme counter and
-// histogram Registry the simulation engine drains into (obs.go), and
-// the Go runtime basics every long-running service wants on a
-// dashboard.  Everything renders from atomic snapshots, so scraping
-// concurrently with a run is safe; see writeHistogram for how the
-// log-bucket histograms stay internally consistent under concurrent
-// Observe calls.
+// Prometheus text exposition (format version 0.0.4) for the families of
+// a Registry, followed by the build identity and the Go runtime basics
+// every long-running service wants on a dashboard.  Everything renders
+// from atomic snapshots, so scraping concurrently with a run is safe;
+// see promWriter.histogram for how the log-bucket histograms stay
+// internally consistent under concurrent Observe calls.
 
 // PromContentType is the Content-Type of the text exposition format.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -64,9 +61,6 @@ func formatFloat(v float64) string {
 // non-decreasing, +Inf equal to the largest), which is what the
 // scrape-under-load tests pin.
 func (p *promWriter) histogram(name, labels string, t HistTotals, scale float64) {
-	if scale <= 0 {
-		scale = 1
-	}
 	// Re-open the label set to append le.
 	open := "{"
 	if labels != "" {
@@ -87,9 +81,9 @@ func (p *promWriter) histogram(name, labels string, t HistTotals, scale float64)
 }
 
 // WritePrometheus renders every registered family in name order.
-func (m *Metrics) WritePrometheus(w io.Writer) error {
+func (r *Registry) WritePrometheus(w io.Writer) error {
 	p := &promWriter{w: w}
-	for _, f := range m.familiesSorted() {
+	for _, f := range r.familiesSorted() {
 		p.header(f.name, f.help, f.kind)
 		for _, s := range f.snapshot() {
 			labels := labelKey(s.labels)
@@ -105,83 +99,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 			}
 		}
 	}
-	return p.err
-}
-
-// schemeCounterColumns maps each SchemeCounters field onto its metric
-// family, in rendering order.  The names follow DESIGN.md §14: one
-// family per operation class, one series per scheme.
-var schemeCounterColumns = []struct {
-	name string
-	help string
-	get  func(Totals) int64
-}{
-	{"aegis_scheme_writes_total", "Logical write requests served, by scheme.", func(t Totals) int64 { return t.Writes }},
-	{"aegis_scheme_raw_writes_total", "Physical block writes issued (inversion rewrites included), by scheme.", func(t Totals) int64 { return t.RawWrites }},
-	{"aegis_scheme_verify_reads_total", "Verification re-reads performed, by scheme.", func(t Totals) int64 { return t.VerifyReads }},
-	{"aegis_scheme_inversions_total", "Physical writes issued with at least one region stored inverted, by scheme.", func(t Totals) int64 { return t.Inversions }},
-	{"aegis_scheme_repartitions_total", "Partition-configuration changes, by scheme.", func(t Totals) int64 { return t.Repartitions }},
-	{"aegis_scheme_salvages_total", "Write requests recovered after at least one failed verification pass, by scheme.", func(t Totals) int64 { return t.Salvages }},
-	{"aegis_scheme_bit_writes_total", "Cell programming pulses absorbed by simulated blocks, by scheme.", func(t Totals) int64 { return t.BitWrites }},
-	{"aegis_scheme_block_deaths_total", "Simulated blocks that became unrecoverable, by scheme.", func(t Totals) int64 { return t.BlockDeaths }},
-	{"aegis_scheme_page_deaths_total", "Simulated pages lost to their first unrecoverable block, by scheme.", func(t Totals) int64 { return t.PageDeaths }},
-}
-
-// schemeHistogramColumns maps each SchemeHistograms field onto its
-// metric family.
-var schemeHistogramColumns = []struct {
-	name string
-	help string
-	get  func(HistSnapshot) HistTotals
-}{
-	{"aegis_scheme_lifetime_writes", "Per-trial lifetime in successful writes, by scheme.", func(s HistSnapshot) HistTotals { return s.Lifetime }},
-	{"aegis_scheme_repartitions_per_block", "Partition-configuration changes one block consumed over its life, by scheme.", func(s HistSnapshot) HistTotals { return s.Repartitions }},
-	{"aegis_scheme_salvage_depth_passes", "Verification passes a salvaged write needed before succeeding, by scheme.", func(s HistSnapshot) HistTotals { return s.SalvageDepth }},
-	{"aegis_scheme_extra_writes_per_block", "Extra physical writes (beyond one per request) per block life, by scheme.", func(s HistSnapshot) HistTotals { return s.ExtraWrites }},
-}
-
-// WriteRegistry renders reg's per-scheme operation counters, per-scheme
-// histograms and run-global shard-cache counters in exposition format.
-// Families here are disjoint from anything WritePrometheus renders, so
-// a /metrics handler may concatenate both onto one response.
-func WriteRegistry(w io.Writer, reg *Registry) error {
-	p := &promWriter{w: w}
-	if reg == nil {
-		return nil
-	}
-	counters := reg.Snapshot()
-	names := make([]string, 0, len(counters))
-	for name := range counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, col := range schemeCounterColumns {
-		p.header(col.name, col.help, kindCounter)
-		for _, name := range names {
-			p.value(col.name, labelKey([]Label{{"scheme", name}}), float64(col.get(counters[name])))
-		}
-	}
-
-	hists := reg.HistSnapshot()
-	hnames := make([]string, 0, len(hists))
-	for name := range hists {
-		hnames = append(hnames, name)
-	}
-	sort.Strings(hnames)
-	for _, col := range schemeHistogramColumns {
-		p.header(col.name, col.help, kindHistogram)
-		for _, name := range hnames {
-			p.histogram(col.name, labelKey([]Label{{"scheme", name}}), col.get(hists[name]), 1)
-		}
-	}
-
-	st := reg.Shards().Totals()
-	p.header("aegis_shard_cache_hits_total", "Shards served from the content-addressed shard cache.", kindCounter)
-	p.value("aegis_shard_cache_hits_total", "", float64(st.CacheHits))
-	p.header("aegis_shard_cache_misses_total", "Shards that had to be computed (absent, unreadable or cache disabled).", kindCounter)
-	p.value("aegis_shard_cache_misses_total", "", float64(st.CacheMisses))
-	p.header("aegis_shard_persisted_total", "Shard files written to the cache.", kindCounter)
-	p.value("aegis_shard_persisted_total", "", float64(st.Persisted))
 	return p.err
 }
 

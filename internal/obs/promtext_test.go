@@ -109,7 +109,7 @@ func stripLE(labels string) string {
 // TestWritePrometheusShapes renders one of each instrument kind and
 // validates the output end to end.
 func TestWritePrometheusShapes(t *testing.T) {
-	m := NewMetrics()
+	m := NewRegistry()
 	m.Counter("aegis_requests_total", "Requests served.", L("route", "/v1/jobs"), L("code", "202")).Add(3)
 	m.Gauge("aegis_inflight", "In-flight requests.").Set(2)
 	m.GaugeFunc("aegis_queue_depth", "Queued jobs.", func() float64 { return 7 })
@@ -161,11 +161,19 @@ func TestWritePrometheusShapes(t *testing.T) {
 	}
 }
 
-// TestWriteRegistryBridge drains counters and histograms into a
-// Registry and checks the bridged families.
-func TestWriteRegistryBridge(t *testing.T) {
+// TestSchemeViewsRender drains counters and histograms into the
+// per-scheme and shard-cache views of a Registry and checks they render
+// as series of that registry's own families.
+func TestSchemeViewsRender(t *testing.T) {
 	reg := NewRegistry()
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
+		t.Fatalf("fresh registry rendered %q (err %v), want nothing", sb.String(), err)
+	}
 	sc := reg.Scheme("Aegis 9x61")
+	if c := reg.Counter("aegis_scheme_writes_total", "", L("scheme", "Aegis 9x61")); c != sc.Writes {
+		t.Fatal("the scheme view and its family hold distinct series")
+	}
 	sc.Writes.Add(10)
 	sc.RawWrites.Add(12)
 	sc.Inversions.Add(4)
@@ -178,8 +186,7 @@ func TestWriteRegistryBridge(t *testing.T) {
 	reg.Shards().CacheMisses.Add(1)
 	reg.Shards().Persisted.Add(1)
 
-	var sb strings.Builder
-	if err := WriteRegistry(&sb, reg); err != nil {
+	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	text := sb.String()
@@ -198,7 +205,7 @@ func TestWriteRegistryBridge(t *testing.T) {
 		"aegis_shard_persisted_total 1",
 	} {
 		if !strings.Contains(text, want) {
-			t.Fatalf("registry bridge missing %q:\n%s", want, text)
+			t.Fatalf("registry exposition missing %q:\n%s", want, text)
 		}
 	}
 	// One TYPE line per family even with two scheme series.
@@ -256,15 +263,15 @@ func TestHistogramExpositionTornSnapshot(t *testing.T) {
 	}
 }
 
-// TestMetricsHandlerComposes hits the combined handler and checks the
-// families from all four sources appear in one valid exposition.
+// TestMetricsHandlerComposes hits the handler and checks the registry's
+// explicit and per-scheme families, the build info and the runtime
+// basics appear in one valid exposition.
 func TestMetricsHandlerComposes(t *testing.T) {
-	m := NewMetrics()
-	m.Counter("aegis_http_requests_total", "h", L("route", "/metrics")).Inc()
 	reg := NewRegistry()
+	reg.Counter("aegis_http_requests_total", "h", L("route", "/metrics")).Inc()
 	reg.Scheme("S").Writes.Add(5)
 
-	h := MetricsHandler(m, func() *Registry { return reg })
+	h := MetricsHandler(reg)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if got := rec.Header().Get("Content-Type"); got != PromContentType {

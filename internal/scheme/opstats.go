@@ -4,8 +4,9 @@ package scheme
 // dimension the paper discusses around Figure 8 ("intensive inversion
 // writes") and when motivating Aegis-rw ("removes extra inversion
 // writes").  All counters are cumulative over the instance's life.
-// These field comments are the one definition of the counters; the run
-// manifest, /metrics and obs.SchemeCounters report sums of them, and
+// These field comments are the one definition of the counters; the
+// per-scheme series of the run's obs.Registry sum them, the run manifest
+// and /metrics report those sums, and
 // for the looped schemes Loop.Run is the only code that increments
 // them (DESIGN.md §5a).
 type OpStats struct {

@@ -15,19 +15,20 @@ import (
 // Request instrumentation and the daemon's metric surface: every API
 // and debug route is wrapped in instrument(), which assigns (or adopts)
 // a request ID, counts the request per route/method/status, times it
-// into a latency histogram, and tracks the in-flight gauge.  Metric
-// names follow DESIGN.md §14.
+// into a latency histogram, and tracks the in-flight gauge.  All of it
+// registers on the daemon's one obs.Registry, which every finished
+// job's per-scheme and shard-cache series also fold into and which the
+// cluster coordinator registers its families on, so GET /metrics
+// renders from that registry alone.  Metric names follow DESIGN.md §14.
 
-// serverMetrics owns the daemon's explicit metric families.  The
-// per-scheme and shard-cache families come from the obs.Registry bridge
-// (obs.WriteRegistry) and are not duplicated here.
+// serverMetrics owns the daemon's registry and its serving families.
 type serverMetrics struct {
-	m        *obs.Metrics
+	m        *obs.Registry
 	inflight *obs.Gauge
 }
 
 func newServerMetrics(s *Server) *serverMetrics {
-	m := obs.NewMetrics()
+	m := obs.NewRegistry()
 	sm := &serverMetrics{
 		m:        m,
 		inflight: m.Gauge("aegis_http_inflight_requests", "HTTP requests currently being served."),

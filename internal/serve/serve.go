@@ -154,11 +154,9 @@ type Server struct {
 	// installed another one.
 	runner Runner
 
-	// metrics is the daemon's explicit metric surface; obsReg is the
-	// service-lifetime registry every finished job's counters fold into.
-	// Together they back GET /metrics (obs.MetricsHandler).
+	// metrics holds the daemon's service-lifetime registry, which every
+	// finished job's counters fold into and GET /metrics renders.
 	metrics *serverMetrics
-	obsReg  *obs.Registry
 	// streams counts open SSE subscriptions against Options.MaxStreams.
 	streams atomic.Int64
 
@@ -202,7 +200,6 @@ func New(opts Options) (*Server, error) {
 		opts:    opts,
 		log:     opts.Logger,
 		runner:  localRunner{cacheDir: opts.CacheDir, workers: opts.EngineWorkers},
-		obsReg:  obs.NewRegistry(),
 		drainCh: make(chan struct{}),
 		jobs:    make(map[string]*Job),
 		active:  make(map[string]*Job),
@@ -269,7 +266,7 @@ func New(opts Options) (*Server, error) {
 	api("GET /debug/aegis/progress", "/debug/aegis/progress", s.handleProgress)
 	// The shared debug surface: GET /metrics, /debug/pprof/*,
 	// /debug/vars — the same mux aegisbench -http serves.
-	obs.RegisterDebug(mux, s.metrics.m, func() *obs.Registry { return s.obsReg }, s.instrument)
+	obs.RegisterDebug(mux, s.metrics.m, s.instrument)
 	s.mux = mux
 	return s, nil
 }
@@ -361,9 +358,9 @@ func (s *Server) enqueueLocked(job *Job) {
 	s.slots <- struct{}{} // cannot block: capacity covers every admit path
 }
 
-// Metrics exposes the daemon's metric registry; cmd/aegisd uses it for
-// process-level gauges.
-func (s *Server) Metrics() *obs.Metrics { return s.metrics.m }
+// Metrics exposes the daemon's metric registry, the one GET /metrics
+// renders; the cluster coordinator registers its families on it.
+func (s *Server) Metrics() *obs.Registry { return s.metrics.m }
 
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -725,12 +722,12 @@ func (s *Server) runJob(job *Job) {
 	// on aborted runs; scheme counters exist only on success).
 	defer func() {
 		for name, tot := range reg.Snapshot() {
-			s.obsReg.AddTotals(name, tot)
+			s.metrics.m.AddTotals(name, tot)
 		}
 		for name, h := range reg.HistSnapshot() {
-			s.obsReg.AddHist(name, h)
+			s.metrics.m.AddHist(name, h)
 		}
-		s.obsReg.AddShardTotals(reg.Shards().Totals())
+		s.metrics.m.AddShardTotals(reg.Shards().Totals())
 	}()
 	if err != nil {
 		state := StateFailed

@@ -27,7 +27,7 @@ func TestBlocksDrainCounters(t *testing.T) {
 	rs := Blocks(f, cfg)
 	tot, ok := reg.Snapshot()[f.Name()]
 	if !ok {
-		t.Fatalf("no counters registered for %q (have %v)", f.Name(), reg.Names())
+		t.Fatalf("no counters registered for %q (have %v)", f.Name(), reg.Snapshot())
 	}
 	var wantWrites int64
 	for _, r := range rs {
