@@ -10,6 +10,7 @@ import (
 	"aegis/internal/ecc"
 	"aegis/internal/ecp"
 	"aegis/internal/failcache"
+	"aegis/internal/plane"
 	"aegis/internal/rdis"
 	"aegis/internal/safer"
 	"aegis/internal/scheme"
@@ -23,11 +24,18 @@ var cache = failcache.Perfect{}
 // 512-byte block, eight times the paper's 512-bit configuration.
 const MaxBlockBits = 4096
 
+// MaxTrials and MaxPageBytes bound the size of a served job, since a
+// trial run allocates result and page slices sized by them: 2^20 trials,
+// and pages of 64 KiB, sixteen times the paper's 4 KB page.  A curve's
+// fault count is bounded by MaxBlockBits, the most cells a block holds.
+const (
+	MaxTrials    = 1 << 20
+	MaxPageBytes = 64 << 10
+)
+
 // maxLayoutMaskBytes bounds the group-mask table an Aegis spec makes
-// plane build: B slopes × B groups, each mask ⌈n/64⌉ words plus about
-// five words of vector header and pointer.  plane caches every layout
-// for the life of the process, so the bound is per distinct (n, B).
-// The paper's largest layout, 8×71 at 512 bits, takes 0.5 MB.
+// plane build (plane.MaskTableBytes).  The paper's largest layout, 8×71
+// at 512 bits, takes 0.5 MB.
 const maxLayoutMaskBytes = 8 << 20
 
 // A family is one scheme-spec family: the names of its integer
@@ -120,8 +128,8 @@ func ParseScheme(spec string, blockBits int) (scheme.Factory, error) {
 // checkAegis bounds B by the layout's mask table, and a pointer budget,
 // when the family has one, by the B groups it can point at.
 func checkAegis(n int, a []int) error {
-	b, words := a[0], (n+63)/64
-	if b > 1<<20 || b*b*8*(words+5) > maxLayoutMaskBytes {
+	b := a[0]
+	if b > 1<<20 || plane.MaskTableBytes(n, b) > maxLayoutMaskBytes {
 		return fmt.Errorf("B = %d needs a group-mask table over the %d-byte bound", b, maxLayoutMaskBytes)
 	}
 	if len(a) == 2 && a[1] > b {

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"aegis/internal/bitvec"
 	"aegis/internal/prime"
@@ -57,15 +58,37 @@ type Layout struct {
 // configuration can use one copy.  Before this cache each experiment
 // run rebuilt B² masks per roster entry, which dominated one-time
 // allocation in steady-state heap profiles.
-var layoutCache sync.Map // layoutKey -> *Layout
+//
+// layoutCacheBytes totals the MaskTableBytes of the cached layouts and
+// stays within layoutCacheBudget: a layout past the budget is built and
+// returned but not stored, so a daemon fed many distinct (n, B) keeps a
+// bounded heap.  Factories hold their layout, so an uncached one costs
+// one rebuild per factory, not per trial.  Every layout the figure
+// rosters use fits in about 1.2 MB of the budget.
+var (
+	layoutCache      sync.Map // layoutKey -> *Layout
+	layoutCacheBytes atomic.Int64
+)
+
+// layoutCacheBudget bounds layoutCacheBytes: four of the largest
+// tables the scheme-spec grammar accepts.
+const layoutCacheBudget = 32 << 20
 
 type layoutKey struct{ n, b int }
+
+// MaskTableBytes estimates the heap the group-mask table of an n-bit
+// layout with parameter B takes: B slopes × B groups, each mask ⌈n/64⌉
+// words plus about five words of vector header and pointer.
+func MaskTableBytes(n, b int) int64 {
+	return int64(b) * int64(b) * 8 * int64((n+63)/64+5)
+}
 
 // NewLayout returns the A×B layout protecting an n-bit block, with
 // A = ⌈n/B⌉.  It returns an error unless B is prime, A ≤ B, and the
 // rectangle is large enough ((A−1)·B < n ≤ A·B holds by construction).
-// Layouts are immutable and cached: repeated calls with the same (n, B)
-// return the same shared instance.
+// Layouts are immutable and cached up to a fixed byte budget: repeated
+// calls with the same (n, B) return the same shared instance while the
+// cache has room for it.
 func NewLayout(n, b int) (*Layout, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("plane: block size %d must be positive", n)
@@ -92,9 +115,19 @@ func NewLayout(n, b int) (*Layout, error) {
 			l.groupMasks[k][y] = m
 		}
 	}
-	// A racing constructor may have stored first; keep whichever won so
-	// all callers share one instance.
-	actual, _ := layoutCache.LoadOrStore(layoutKey{n, b}, l)
+	// Reserve the layout's bytes before storing it, so concurrent
+	// constructors never push the total past the budget.  A racing
+	// constructor may have stored first; keep whichever won so all
+	// callers share one instance.
+	size := MaskTableBytes(n, b)
+	if layoutCacheBytes.Add(size) > layoutCacheBudget {
+		layoutCacheBytes.Add(-size)
+		return l, nil
+	}
+	actual, loaded := layoutCache.LoadOrStore(layoutKey{n, b}, l)
+	if loaded {
+		layoutCacheBytes.Add(-size)
+	}
 	return actual.(*Layout), nil
 }
 

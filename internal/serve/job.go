@@ -143,8 +143,8 @@ func (r *JobRequest) normalize() (scheme.Factory, error) {
 			r.Trials = p.CurveTrials
 		}
 	}
-	if r.Trials < 1 {
-		return nil, reqErr("trials", "must be at least 1, got %d", r.Trials)
+	if r.Trials < 1 || r.Trials > experiments.MaxTrials {
+		return nil, reqErr("trials", "must be between 1 and %d, got %d", experiments.MaxTrials, r.Trials)
 	}
 	if r.PageBytes == 0 {
 		r.PageBytes = 4096
@@ -152,8 +152,8 @@ func (r *JobRequest) normalize() (scheme.Factory, error) {
 	if r.Kind == KindPages && r.PageBytes*8 < r.BlockBits {
 		return nil, reqErr("page_bytes", "page of %d bytes cannot hold a %d-bit block", r.PageBytes, r.BlockBits)
 	}
-	if r.PageBytes < 0 {
-		return nil, reqErr("page_bytes", "must be positive, got %d", r.PageBytes)
+	if r.PageBytes < 0 || r.PageBytes > experiments.MaxPageBytes {
+		return nil, reqErr("page_bytes", "must be between 1 and %d, got %d", experiments.MaxPageBytes, r.PageBytes)
 	}
 	if r.Seed == 0 {
 		r.Seed = p.Seed
@@ -162,8 +162,8 @@ func (r *JobRequest) normalize() (scheme.Factory, error) {
 		if r.MaxFaults == 0 {
 			r.MaxFaults = 30
 		}
-		if r.MaxFaults < 1 {
-			return nil, reqErr("max_faults", "must be at least 1, got %d", r.MaxFaults)
+		if r.MaxFaults < 1 || r.MaxFaults > experiments.MaxBlockBits {
+			return nil, reqErr("max_faults", "must be between 1 and %d, got %d", experiments.MaxBlockBits, r.MaxFaults)
 		}
 		if r.WritesPerStep == 0 {
 			r.WritesPerStep = 8

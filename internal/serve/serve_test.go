@@ -240,6 +240,9 @@ func TestInvalidPayloads(t *testing.T) {
 		{"negative timeout", `{"kind":"blocks","scheme":"aegis:61","timeout_seconds":-2}`, "timeout_seconds"},
 		{"unknown field", `{"kind":"blocks","scheme":"aegis:61","cheese":1}`, ""},
 		{"block bits beyond bound", `{"kind":"blocks","scheme":"aegis:61","block_bits":1099511627776}`, "block_bits"},
+		{"trials beyond bound", `{"kind":"blocks","scheme":"aegis:61","trials":1048577}`, "trials"},
+		{"page bytes beyond bound", `{"kind":"pages","scheme":"aegis:61","page_bytes":65537}`, "page_bytes"},
+		{"max faults beyond bound", `{"kind":"curve","scheme":"aegis:61","max_faults":4097}`, "max_faults"},
 		{"malformed json", `{"kind":`, ""},
 		{"non-object", `42`, ""},
 	}
@@ -271,6 +274,16 @@ func TestHostileSpecsKeepDaemonUp(t *testing.T) {
 			t.Fatalf("%s: status %d, body %v", spec, code, m)
 		}
 	}
+	// Sizes that would each allocate terabytes at trial time.
+	for _, body := range []string{
+		`{"kind":"blocks","scheme":"aegis:61","trials":1099511627776}`,
+		`{"kind":"pages","scheme":"aegis:61","trials":2,"page_bytes":1099511627776}`,
+		`{"kind":"curve","scheme":"aegis:61","trials":2,"max_faults":1099511627776}`,
+	} {
+		if code, m := postJob(t, base, body); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, body %v", body, code, m)
+		}
+	}
 	var h map[string]any
 	if code := getJSON(t, base+"/v1/healthz", &h); code != http.StatusOK || h["status"] != "ok" {
 		t.Fatalf("healthz: %d %v", code, h)
@@ -281,6 +294,25 @@ func TestHostileSpecsKeepDaemonUp(t *testing.T) {
 	}
 	if st := waitDone(t, base, m["id"].(string)); st.State != serve.StateDone {
 		t.Fatalf("job after hostile specs ended %q", st.State)
+	}
+}
+
+// TestJobSizeBoundsInclusive: requests at each size bound are valid, and
+// a curve's default fault count stays valid on blocks smaller than it.
+func TestJobSizeBoundsInclusive(t *testing.T) {
+	for _, body := range []string{
+		`{"kind":"blocks","scheme":"aegis:61","trials":1048576}`,
+		`{"kind":"pages","scheme":"aegis:61","page_bytes":65536}`,
+		`{"kind":"curve","scheme":"aegis:61","max_faults":4096}`,
+		`{"kind":"curve","scheme":"ecp:1","block_bits":16}`,
+	} {
+		var req serve.JobRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := req.Normalize(); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
 	}
 }
 
