@@ -86,6 +86,31 @@ grep -q '^aegis_scheme_writes_total{scheme=' "$OUT/metrics.prom"
 grep -Eq '^aegis_shard_cache_(hits|misses)_total [1-9]' "$OUT/metrics.prom"
 grep -q '^aegis_http_request_duration_seconds_bucket' "$OUT/metrics.prom"
 grep -q '^aegis_build_info{' "$OUT/metrics.prom"
+# Well formed: each family has exactly one TYPE line, and every sample
+# belongs to a family declared above it (a histogram's _bucket, _sum
+# and _count samples to their base family).
+awk '
+/^# TYPE / {
+    if ($3 in declared) {
+        print "serve-smoke: family " $3 " declared twice" >"/dev/stderr"
+        bad = 1
+    }
+    declared[$3] = 1
+    next
+}
+/^#/ || /^$/ { next }
+{
+    name = $0
+    sub(/[{ ].*/, "", name)
+    base = name
+    sub(/_(bucket|sum|count)$/, "", base)
+    if (!(name in declared) && !(base in declared)) {
+        print "serve-smoke: sample " name " has no family declared above it" >"/dev/stderr"
+        bad = 1
+    }
+}
+END { exit bad }
+' "$OUT/metrics.prom"
 echo "serve-smoke: metrics OK ($(wc -l <"$OUT/metrics.prom") exposition lines)"
 
 # Clean drain: SIGTERM must exit 0, and the journal it leaves behind
