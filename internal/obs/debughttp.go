@@ -16,14 +16,12 @@ import (
 
 // MetricsHandler serves the metrics surface in Prometheus text
 // exposition format: every family of reg, then the build-info
-// pseudo-metric and the Go runtime basics.  reg may be nil.
+// pseudo-metric and the Go runtime basics.
 func MetricsHandler(reg *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", PromContentType)
-		if reg != nil {
-			if err := reg.WritePrometheus(w); err != nil {
-				return // client went away; nothing to do
-			}
+		if err := reg.WritePrometheus(w); err != nil {
+			return // client went away; nothing to do
 		}
 		if err := WriteBuildInfo(w); err != nil {
 			return

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"aegis/internal/bitvec"
 	"aegis/internal/prime"
@@ -59,18 +58,19 @@ type Layout struct {
 // run rebuilt B² masks per roster entry, which dominated one-time
 // allocation in steady-state heap profiles.
 //
-// layoutCacheBytes totals the MaskTableBytes of the cached layouts and
-// stays within layoutCacheBudget: a layout past the budget is built and
+// The cache holds at most layoutCacheBudget bytes of masks by the
+// MaskTableBytes estimate: a layout past the budget is built and
 // returned but not stored, so a daemon fed many distinct (n, B) keeps a
 // bounded heap.  Factories hold their layout, so an uncached one costs
 // one rebuild per factory, not per trial.  Every layout the figure
 // rosters use fits in about 1.2 MB of the budget.
-var (
-	layoutCache      sync.Map // layoutKey -> *Layout
-	layoutCacheBytes atomic.Int64
-)
+var layoutCache = struct {
+	sync.Mutex
+	m     map[layoutKey]*Layout
+	bytes int64
+}{m: make(map[layoutKey]*Layout)}
 
-// layoutCacheBudget bounds layoutCacheBytes: four of the largest
+// layoutCacheBudget bounds layoutCache.bytes: four of the largest
 // tables the scheme-spec grammar accepts.
 const layoutCacheBudget = 32 << 20
 
@@ -100,8 +100,12 @@ func NewLayout(n, b int) (*Layout, error) {
 	if a > b {
 		return nil, fmt.Errorf("plane: A = ⌈%d/%d⌉ = %d exceeds B = %d (Theorem 2 requires A ≤ B)", n, b, a, b)
 	}
-	if cached, ok := layoutCache.Load(layoutKey{n, b}); ok {
-		return cached.(*Layout), nil
+	key := layoutKey{n, b}
+	layoutCache.Lock()
+	cached := layoutCache.m[key]
+	layoutCache.Unlock()
+	if cached != nil {
+		return cached, nil
 	}
 	l := &Layout{N: n, A: a, B: b}
 	l.groupMasks = make([][]*bitvec.Vector, b)
@@ -115,20 +119,18 @@ func NewLayout(n, b int) (*Layout, error) {
 			l.groupMasks[k][y] = m
 		}
 	}
-	// Reserve the layout's bytes before storing it, so concurrent
-	// constructors never push the total past the budget.  A racing
-	// constructor may have stored first; keep whichever won so all
-	// callers share one instance.
-	size := MaskTableBytes(n, b)
-	if layoutCacheBytes.Add(size) > layoutCacheBudget {
-		layoutCacheBytes.Add(-size)
-		return l, nil
+	// A racing constructor may have stored first; keep whichever won so
+	// all callers share one instance.
+	layoutCache.Lock()
+	defer layoutCache.Unlock()
+	if cached := layoutCache.m[key]; cached != nil {
+		return cached, nil
 	}
-	actual, loaded := layoutCache.LoadOrStore(layoutKey{n, b}, l)
-	if loaded {
-		layoutCacheBytes.Add(-size)
+	if size := MaskTableBytes(n, b); layoutCache.bytes+size <= layoutCacheBudget {
+		layoutCache.m[key] = l
+		layoutCache.bytes += size
 	}
-	return actual.(*Layout), nil
+	return l, nil
 }
 
 // MustLayout is NewLayout that panics on error, for configurations that

@@ -149,11 +149,11 @@ func (r *JobRequest) normalize() (scheme.Factory, error) {
 	if r.PageBytes == 0 {
 		r.PageBytes = 4096
 	}
-	if r.Kind == KindPages && r.PageBytes*8 < r.BlockBits {
-		return nil, reqErr("page_bytes", "page of %d bytes cannot hold a %d-bit block", r.PageBytes, r.BlockBits)
-	}
 	if r.PageBytes < 0 || r.PageBytes > experiments.MaxPageBytes {
 		return nil, reqErr("page_bytes", "must be between 1 and %d, got %d", experiments.MaxPageBytes, r.PageBytes)
+	}
+	if r.Kind == KindPages && r.PageBytes*8 < r.BlockBits {
+		return nil, reqErr("page_bytes", "page of %d bytes cannot hold a %d-bit block", r.PageBytes, r.BlockBits)
 	}
 	if r.Seed == 0 {
 		r.Seed = p.Seed
