@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test test-short test-race vet bench bench-json bench-baseline bench-gate trace-sample repro repro-quick resume-demo serve-smoke load-gate cluster-gate extensions examples fuzz golden clean
+.PHONY: all test test-short test-race vet bench trace-sample repro repro-quick resume-demo serve-smoke load-gate cluster-gate extensions examples fuzz golden clean
 
 all: test
 
@@ -23,7 +23,7 @@ test-short:
 # concurrency-adjacent cores.
 test-race:
 	$(GO) test -race -short ./internal/sim/ ./internal/pcm/ ./internal/core/ \
-		./internal/ecp/ ./internal/aegisrw/ \
+		./internal/ecp/ ./internal/ecc/ ./internal/aegisrw/ \
 		./internal/experiments/ ./internal/device/ ./internal/freep/ \
 		./internal/payg/ ./internal/obs/ \
 		./internal/engine/ ./internal/plane/ ./internal/bitvec/ \
@@ -32,42 +32,11 @@ test-race:
 vet:
 	$(GO) vet ./...
 
+# Root benchmarks for profiling (-cpuprofile/-memprofile).  They gate
+# nothing: allocation ceilings are Tier-1 tests (alloc_test.go), and
+# wall-clock claims go through the bench/ module's spread rules.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Machine-readable benchmark pipeline: runs the root-package experiment
-# benchmarks once and writes a normalized BENCH_<date>.json.  Compare two
-# files with `go run ./cmd/benchdiff -old A.json -new B.json`; refresh
-# the CI baseline with BENCH=BENCH_baseline.json.
-#
-# The simulator keeps scratch per worker, so allocs/op grow with the
-# processor count.  The benchmark recipes run at GOMAXPROCS=1, the value
-# the baseline was recorded at, so the alloc gate compares like with like
-# on any host; benchdiff records the value and refuses to compare files
-# recorded under different ones.
-bench-json bench-baseline bench-gate: export GOMAXPROCS = 1
-BENCH ?= BENCH_$(shell date +%Y-%m-%d).json
-bench-json:
-	$(GO) run ./cmd/benchdiff -run -benchtime 1x -out $(BENCH)
-
-# Refresh the checked-in CI baseline.  Run on a quiet machine, commit
-# the result alongside the perf-affecting change, and say why in NOTES
-# (recorded in the file's provenance; see DESIGN.md §12).
-NOTES ?= refreshed by make bench-baseline
-bench-baseline:
-	$(GO) run ./cmd/benchdiff -run -benchtime 1x -notes "$(NOTES)" -out BENCH_baseline.json
-
-# Regression gate: rerun the benchmarks and compare against the
-# checked-in baseline.  Wall-clock gets a loose threshold (shared
-# runners are noisy); allocs/op is deterministic, so its threshold is
-# tight — tightened from 10% to 5% once the RNG substrate removed the
-# per-trial generator churn (DESIGN.md §17).  The comparison report
-# lands in bench-compare.txt.
-bench-gate:
-	$(GO) run ./cmd/benchdiff -run -benchtime 1x -out BENCH_new.json
-	$(GO) run ./cmd/benchdiff -old BENCH_baseline.json -new BENCH_new.json \
-		-threshold 150 -alloc-threshold 5 > bench-compare.txt; \
-	status=$$?; cat bench-compare.txt; exit $$status
 
 # Sample observability bundle: quick fig10 with a v2 run manifest and a
 # 1-in-10 sampled decision-event trace (aegis.events/v1) under out/.
@@ -119,23 +88,10 @@ examples:
 	$(GO) run ./examples/failcache
 	$(GO) run ./examples/endtoend
 
-# Brief fuzzing session over every fuzz target.
+# Brief fuzzing session over every fuzz target (the list lives in
+# scripts/fuzz.sh, which CI and the nightly run call too).
 fuzz:
-	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/ecc/
-	$(GO) test -fuzz=FuzzEncodeRoundTrip -fuzztime=10s ./internal/ecc/
-	$(GO) test -fuzz=FuzzLayoutInvariants -fuzztime=10s ./internal/plane/
-	$(GO) test -fuzz=FuzzUnmarshalBits -fuzztime=10s ./internal/core/
-	$(GO) test -fuzz=FuzzWriteRead -fuzztime=10s ./internal/scheme/
-	$(GO) test -fuzz=FuzzBitvec -fuzztime=10s ./internal/bitvec/
-	$(GO) test -fuzz=FuzzXrandStream -fuzztime=10s ./internal/xrand/
-	$(GO) test -fuzz=FuzzMetadata -fuzztime=10s ./internal/aegisrw/
-	$(GO) test -fuzz=FuzzMetadata -fuzztime=10s ./internal/scheme/
-	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/serve/
-	$(GO) test -fuzz=FuzzLeaseWire -fuzztime=10s ./internal/cluster/
-	$(GO) test -fuzz=FuzzWear -fuzztime=10s ./internal/pcm/
-	$(GO) test -fuzz=FuzzSAFERPlan -fuzztime=10s ./internal/safer/
-	$(GO) test -fuzz=FuzzResetEquivalence -fuzztime=10s ./internal/sim/
-	$(GO) test -run=FuzzParseScheme -fuzz=FuzzParseScheme -fuzztime=10s ./internal/experiments/
+	sh scripts/fuzz.sh 10s
 
 # Regenerate the fixed-seed golden regression file after an intentional
 # behaviour change.

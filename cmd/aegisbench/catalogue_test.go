@@ -56,9 +56,10 @@ func TestMetricsCatalogue(t *testing.T) {
 	}
 }
 
-// scrapeServe runs one blocks job on a standalone server, drains it so
-// the job's counters have folded into the service registry, and
-// returns the /metrics exposition.
+// scrapeServe runs one blocks job on a standalone server and returns
+// the /metrics exposition scraped once the job reads done: the job's
+// counters fold into the service registry before its state is
+// published.
 func scrapeServe(t *testing.T) string {
 	srv, err := serve.New(serve.Options{Workers: 1, Shards: 2})
 	if err != nil {
@@ -67,6 +68,13 @@ func scrapeServe(t *testing.T) string {
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	srv.Start()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := srv.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}()
 
 	job := `{"kind":"blocks","scheme":"aegis:11","block_bits":64,"trials":6,"seed":5}`
 	resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(job))
@@ -92,11 +100,6 @@ func scrapeServe(t *testing.T) string {
 	}
 	httpGet(t, hs.URL+"/v1/jobs/"+st.ID+"/result", nil)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
 	var body string
 	httpGet(t, hs.URL+"/metrics", &body)
 	return body

@@ -186,7 +186,7 @@ func TestExtensionsRunner(t *testing.T) {
 
 // TestJSONManifestGolden pins the manifest schema: key set, schema
 // marker, git SHA, seed and result rows must stay stable so downstream
-// tooling (cmd/benchdiff, CI artifact consumers) can rely on them.
+// tooling (CI artifact consumers) can rely on them.
 func TestJSONManifestGolden(t *testing.T) {
 	dir := t.TempDir()
 	out, err := capture(t, []string{"-exp", "table1", "-json", dir})

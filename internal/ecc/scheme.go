@@ -20,7 +20,10 @@ type Scheme struct {
 	errs   *bitvec.Vector
 }
 
-var _ scheme.Scheme = (*Scheme)(nil)
+var (
+	_ scheme.Scheme     = (*Scheme)(nil)
+	_ scheme.Resettable = (*Scheme)(nil)
+)
 
 // NewScheme returns a SEC-DED scheme for an n-bit block (n must be a
 // multiple of 64).
@@ -73,6 +76,10 @@ func (s *Scheme) Read(blk *pcm.Block, dst *bitvec.Vector) *bitvec.Vector {
 	}
 	return dst
 }
+
+// Reset implements scheme.Resettable: no check bits stored.  errs is
+// scratch that every Write overwrites.
+func (s *Scheme) Reset() { clear(s.checks) }
 
 // Factory builds SEC-DED scheme instances.
 type Factory struct{ N int }

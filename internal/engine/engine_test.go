@@ -313,7 +313,7 @@ func TestCorruptShardRecomputed(t *testing.T) {
 }
 
 // TestStaleSchemaRefused: a cache entry with a different shard schema is
-// refused with an error naming both schemas, the benchdiff mismatch UX.
+// refused with an error naming both schemas (obs.SchemaMismatch).
 func TestStaleSchemaRefused(t *testing.T) {
 	f := testFactory()
 	dir := t.TempDir()

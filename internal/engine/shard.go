@@ -23,7 +23,7 @@ var ErrCorruptShard = errors.New("engine: corrupt shard file")
 
 // ShardSchema identifies the shard file format.  Bump the suffix on any
 // backwards-incompatible change; the loader refuses files whose schema
-// differs, with the same mismatch UX as cmd/benchdiff.
+// differs with an obs.SchemaMismatch error.
 const ShardSchema = "aegis.shard/v1"
 
 // Shard kinds: which simulation produced the payload.
@@ -187,9 +187,9 @@ func WriteShard(dir string, s *Shard) (path string, err error) {
 // LoadShard reads a shard file and validates it against what the caller
 // expects at that address.  A missing file returns os.ErrNotExist (a
 // plain cache miss); any disagreement in schema, key, config hash,
-// identity or payload size is an error in the benchdiff mismatch style —
-// the cache refuses to mix incompatible artifacts rather than silently
-// recompute over them.
+// identity or payload size is an error (obs.SchemaMismatch for the
+// schema) — the cache refuses to mix incompatible artifacts rather
+// than silently recompute over them.
 func LoadShard(path string, wantKey, wantHash, scheme, kind string, lo, hi int) (*Shard, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

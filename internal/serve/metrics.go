@@ -80,8 +80,23 @@ func openFDs() int {
 }
 
 // jobFinished counts one job reaching a terminal state, globally and
-// per tenant.
-func (sm *serverMetrics) jobFinished(tenant, state string) {
+// per tenant, and folds the job's private registry (nil for a job that
+// never ran) into the service-lifetime one, so /metrics shows
+// cumulative per-scheme and shard-cache totals across every job,
+// whatever its outcome: cache traffic accrues even on aborted runs,
+// scheme counters only on success.  Callers run it before publishing
+// the terminal state, so a client that sees the state can scrape the
+// job's series.
+func (sm *serverMetrics) jobFinished(tenant, state string, reg *obs.Registry) {
+	if reg != nil {
+		for name, tot := range reg.Snapshot() {
+			sm.m.AddTotals(name, tot)
+		}
+		for name, h := range reg.HistSnapshot() {
+			sm.m.AddHist(name, h)
+		}
+		sm.m.AddShardTotals(reg.Shards().Totals())
+	}
 	sm.m.Counter("aegis_jobs_total", "Jobs finished, by terminal state.", obs.L("state", state)).Inc()
 	sm.m.Counter("aegis_tenant_jobs_total", "Jobs finished, by tenant and terminal state.",
 		obs.L("tenant", tenant), obs.L("state", state)).Inc()

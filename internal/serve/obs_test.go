@@ -51,9 +51,9 @@ func scrape(t *testing.T, base string) string {
 	return string(body)
 }
 
-// scrapeUntil polls /metrics until ok accepts the text; some counters
-// (job totals, folded scheme counters) land moments after the job's
-// terminal state becomes visible.
+// scrapeUntil polls /metrics until ok accepts the text.  A job's
+// counters and folded series are in before its terminal state is
+// visible, but the worker pool's occupancy gauges drop only after.
 func scrapeUntil(t *testing.T, base string, ok func(string) bool) string {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -99,9 +99,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	waitDone(t, base, id)
 
 	text := scrapeUntil(t, base, func(s string) bool {
-		return strings.Contains(s, `aegis_jobs_total{state="done"} 1`)
+		return strings.Contains(s, "aegis_jobs_running 0")
 	})
 	for _, want := range []string{
+		`aegis_jobs_total{state="done"} 1`,
 		`aegis_http_requests_total{route="/v1/jobs",method="POST",code="202"} 1`,
 		"aegis_http_request_duration_seconds_bucket",
 		"aegis_http_inflight_requests",
@@ -111,7 +112,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"aegis_shard_cache_misses_total 3",
 		"aegis_shard_persisted_total 3",
 		"aegis_jobs_queued 0",
-		"aegis_jobs_running 0",
 		"aegis_workers 1",
 		"aegis_event_streams 0",
 		"aegis_build_info{",

@@ -558,7 +558,7 @@ func (s *Server) worker() {
 		if draining {
 			job.setState(StateAborted, ErrJobAborted)
 			s.journalTerminal(job, nil)
-			s.metrics.jobFinished(job.tenant, StateAborted)
+			s.metrics.jobFinished(job.tenant, StateAborted, nil)
 			s.jobLogger(job).Info("job aborted before start", slog.String("reason", "daemon draining"))
 			s.retire(job)
 			continue
@@ -716,27 +716,14 @@ func (s *Server) runJob(job *Job) {
 	default:
 		err = fmt.Errorf("serve: unreachable kind %q", req.Kind) // normalize rejects it
 	}
-	// Fold the job's private registry into the service-lifetime one so
-	// /metrics shows cumulative per-scheme and shard-cache totals across
-	// every job, whatever this job's outcome (cache traffic accrues even
-	// on aborted runs; scheme counters exist only on success).
-	defer func() {
-		for name, tot := range reg.Snapshot() {
-			s.metrics.m.AddTotals(name, tot)
-		}
-		for name, h := range reg.HistSnapshot() {
-			s.metrics.m.AddHist(name, h)
-		}
-		s.metrics.m.AddShardTotals(reg.Shards().Totals())
-	}()
 	if err != nil {
 		state := StateFailed
 		if errors.Is(err, engine.ErrDraining) {
 			state = StateAborted
 		}
+		s.metrics.jobFinished(job.tenant, state, reg)
 		job.setState(state, err)
 		s.journalTerminal(job, nil)
-		s.metrics.jobFinished(job.tenant, state)
 		logger.Warn("job "+state,
 			slog.String("error", err.Error()),
 			slog.Duration("elapsed", time.Since(start)))
@@ -760,9 +747,9 @@ func (s *Server) runJob(job *Job) {
 	job.mu.Lock()
 	job.result = result
 	job.mu.Unlock()
+	s.metrics.jobFinished(job.tenant, StateDone, reg)
 	job.setState(StateDone, nil)
 	s.journalTerminal(job, result)
-	s.metrics.jobFinished(job.tenant, StateDone)
 	logger.Info("job done",
 		slog.Duration("elapsed", time.Since(start)),
 		slog.Int64("cache_hits", st.CacheHits),

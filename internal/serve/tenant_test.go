@@ -245,10 +245,9 @@ func TestTenantMetrics(t *testing.T) {
 	s.Start()
 	waitDone(t, base, id)
 
-	text := scrapeUntil(t, base, func(text string) bool {
-		return strings.Contains(text, `aegis_tenant_jobs_total{tenant="acme",state="done"}`)
-	})
+	text := scrape(t, base)
 	for _, want := range []string{
+		`aegis_tenant_jobs_total{tenant="acme",state="done"}`,
 		`aegis_tenant_jobs_submitted_total{tenant="acme"}`,
 		`aegis_tenant_rejections_total{tenant="acme",reason="queue_full"}`,
 		"aegis_tenants 1",

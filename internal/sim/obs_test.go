@@ -241,11 +241,12 @@ func TestEventTraceFromStudies(t *testing.T) {
 func TestUntracedSchemesStayUntraced(t *testing.T) {
 	f := core.MustFactory(512, 61)
 	s := f.New().(*core.Aegis)
+	ts := &trialScratch{schemes: []scheme.Scheme{s}}
 	cfg := Config{}
-	cfg.attachTracer(s, f.Name(), 0, nil)
+	cfg.attachTracer(ts, 0, f.Name(), 0, nil)
 	// attachTracer with both sinks nil must leave the scheme alone; a
 	// non-nil tracer would make every write pay for event assembly.
-	if s.OpStats().Requests != 0 {
+	if len(ts.tracers) != 0 || s.OpStats().Requests != 0 {
 		t.Fatal("attachTracer touched the scheme")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"aegis/internal/bitvec"
 	"aegis/internal/core"
 	"aegis/internal/dist"
+	"aegis/internal/ecc"
 	"aegis/internal/ecp"
 	"aegis/internal/failcache"
 	"aegis/internal/obs"
@@ -45,6 +46,7 @@ func reuseRoster() []struct {
 		{"rdis", func() scheme.Factory { return rdis.MustFactory(64, 3, failcache.Perfect{}) }},
 		// Eight words: fields at address bits 6 and above select words.
 		{"safer-cache-512", func() scheme.Factory { return safer.MustCachedFactory(512, 64, failcache.Perfect{}) }},
+		{"hamming", func() scheme.Factory { return ecc.MustFactory(64) }},
 	}
 }
 

@@ -134,14 +134,19 @@ func (c Config) cancelled() bool {
 }
 
 // trialScratch is one worker goroutine's reusable arena: scheme
-// instances, PCM blocks, and the data vector survive across the
-// worker's trials, so steady-state trials allocate nothing.  Trial
+// instances, their tracers, PCM blocks, and the data vector survive
+// across the worker's trials, so steady-state trials allocate nothing
+// (alloc_test.go pins this per kernel and scheme family).  Trial
 // results are unaffected: blocks re-sample their lifetimes from the
 // per-trial RNG in construction order, and schemes are Reset to their
 // post-construction state (falling back to Factory.New for schemes
 // that are not Resettable).
 type trialScratch struct {
 	schemes []scheme.Scheme
+	// tracers holds one tracer per block slot, rebound per trial.  They
+	// are pointers because schemes keep the tracer they were given: a
+	// grown []trialTracer would move elements out from under them.
+	tracers []*trialTracer
 	blocks  []*pcm.Block
 	data    *bitvec.Vector
 	perm    []int
@@ -301,8 +306,8 @@ func (c Config) sinks(f scheme.Factory) (*obs.SchemeCounters, *obs.SchemeHistogr
 
 // trialTracer adapts one trial's scheme decision events into the
 // salvage-depth histogram and the sampled event trace.  The engine
-// binds one per trial so events carry the trial index without the
-// schemes knowing about it.
+// rebinds a block slot's tracer to each trial so events carry the
+// trial index without the schemes knowing about it.
 type trialTracer struct {
 	scheme string
 	trial  int
@@ -331,20 +336,25 @@ func (t *trialTracer) TraceEvent(e scheme.TraceEvent) {
 	})
 }
 
-// attachTracer installs a per-trial tracer on traceable schemes when
-// histograms or event tracing want decision events.  With both off,
-// schemes stay untraced and pay only a nil check per potential event.
-// Events carry the global trial index (TrialOffset applied), so traces
-// from sharded runs line up with the merged results.
-func (c Config) attachTracer(s scheme.Scheme, name string, trial int, h *obs.SchemeHistograms) {
+// attachTracer installs the slot-i tracer of ts on slot i's scheme
+// when histograms or event tracing want decision events.  With both
+// off, schemes stay untraced and pay only a nil check per potential
+// event.  Events carry the global trial index (TrialOffset applied), so
+// traces from sharded runs line up with the merged results.
+func (c Config) attachTracer(ts *trialScratch, i int, name string, trial int, h *obs.SchemeHistograms) {
 	if h == nil && c.Trace == nil {
 		return
 	}
-	tb, ok := s.(scheme.Traceable)
+	tb, ok := ts.schemes[i].(scheme.Traceable)
 	if !ok {
 		return
 	}
-	tb.SetTracer(&trialTracer{scheme: name, trial: c.TrialOffset + trial, hist: h, trace: c.Trace})
+	for len(ts.tracers) <= i {
+		ts.tracers = append(ts.tracers, new(trialTracer))
+	}
+	t := ts.tracers[i]
+	*t = trialTracer{scheme: name, trial: c.TrialOffset + trial, hist: h, trace: c.Trace}
+	tb.SetTracer(t)
 }
 
 // BlockResult describes one block written to death.  The JSON form is
@@ -477,7 +487,8 @@ func wear(f scheme.Factory, cfg Config, nBlocks int, newPage func() Page, done f
 		}
 		for i := 0; i < nBlocks; i++ {
 			ts.block(cfg.BlockBits, life, rng, i)
-			cfg.attachTracer(ts.scheme(ctor, i), name, trial, h)
+			ts.scheme(ctor, i)
+			cfg.attachTracer(ts, i, name, trial, h)
 		}
 		blocks := ts.blocks[:nBlocks]
 		schemes := ts.schemes[:nBlocks]
@@ -499,7 +510,8 @@ func wear(f scheme.Factory, cfg Config, nBlocks int, newPage func() Page, done f
 						sc.BlockDeaths.Inc()
 					}
 					ts.block(cfg.BlockBits, life, rng, i)
-					cfg.attachTracer(ts.scheme(ctor, i), name, trial, h)
+					ts.scheme(ctor, i)
+					cfg.attachTracer(ts, i, name, trial, h)
 				}
 			}
 			o.writes++
@@ -595,7 +607,7 @@ func injectFaults(f scheme.Factory, cfg Config, maxFaults, writesPerStep int,
 	forEachTrial(cfg, func(trial int, rng *xrand.Rand, ts *trialScratch) {
 		blk := ts.block(cfg.BlockBits, dist.Immortal{}, nil, 0)
 		s := ts.scheme(f, 0)
-		cfg.attachTracer(s, name, trial, h)
+		cfg.attachTracer(ts, 0, name, trial, h)
 		var rep scheme.OpReporter
 		if observe != nil {
 			rep, _ = s.(scheme.OpReporter)
